@@ -267,29 +267,40 @@ func (c *Config) runTPG(spec sizing.Spec, total int, seed int64) runOut {
 	return out
 }
 
-// runSACGA runs SACGA with m partitions and a total iteration budget: phase
-// I is bounded by the paper's 200-iteration allocation (scaled), and phase
-// II consumes the remainder (the engine's derived-span mode), keeping
-// evaluation budgets comparable with TPG.
-func (c *Config) runSACGA(spec sizing.Spec, m, total int, seed int64) runOut {
-	prob := objective.NewCounter(c.problem(spec))
+// sacgaParams is the SACGA configuration every runner shares for a total
+// iteration budget: m partitions over the load axis, phase I bounded by
+// the paper's 200-iteration allocation (scaled), and phase II consuming
+// the remainder (the engine's derived-span mode), keeping evaluation
+// budgets comparable with TPG.
+func (c *Config) sacgaParams(m, total int) *sacga.Params {
 	clLo, clHi := sizing.ObjectiveRangeCL()
-	gentMax := min(c.iters(200), total/4+1)
+	return &sacga.Params{
+		Partitions:         m,
+		PartitionObjective: 1,
+		PartitionLo:        clLo,
+		PartitionHi:        clHi,
+		GentMax:            min(c.iters(200), total/4+1),
+	}
+}
+
+// runSACGA runs SACGA with m partitions and a total iteration budget.
+func (c *Config) runSACGA(spec sizing.Spec, m, total int, seed int64) runOut {
+	return c.runSACGAWith("SACGA", spec, c.sacgaParams(m, total), total, seed)
+}
+
+// runSACGAWith runs SACGA configured by p for a total iteration budget and
+// digests the run under the name algo.
+func (c *Config) runSACGAWith(algo string, spec sizing.Spec, p *sacga.Params, total int, seed int64) runOut {
+	prob := objective.NewCounter(c.problem(spec))
 	start := time.Now()
 	eng := new(sacga.Engine)
 	res, err := run(eng, prob, search.Options{
 		PopSize:     c.PopSize,
 		Generations: total,
 		Seed:        seed,
-		Extra: &sacga.Params{
-			Partitions:         m,
-			PartitionObjective: 1,
-			PartitionLo:        clLo,
-			PartitionHi:        clHi,
-			GentMax:            gentMax,
-		},
+		Extra:       p,
 	})
-	out := digest("SACGA", res.Front, prob.Count(), time.Since(start), eng.GentUsed())
+	out := digest(algo, res.Front, prob.Count(), time.Since(start), eng.GentUsed())
 	out.err = err
 	return out
 }

@@ -331,7 +331,7 @@ func Fig10(c Config) (*Report, error) {
 	c.parallelRuns(len(jobs), func(i int) {
 		j := jobs[i]
 		// The span is the figure's x-parameter: pass it exactly (the
-		// TotalBudget mode used elsewhere would stretch it when phase I
+		// derived-span mode used elsewhere would stretch it when phase I
 		// exits early).
 		res, err := c.runMESACGASpanned(sizing.PaperSpec(), schedule, c.iters(spans[j.si]), c.Seed+int64(j.seed))
 		errs[i] = err

@@ -6,7 +6,6 @@ import (
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
 	"sacga/internal/objective"
-	"sacga/internal/sacga"
 	"sacga/internal/sched"
 	"sacga/internal/search"
 	"sacga/internal/sizing"
@@ -77,20 +76,6 @@ func Hybrid(c Config) (*Report, error) {
 	return rep, nil
 }
 
-// schedSACGAParams is the SACGA leg/member configuration the schedulers
-// share: the paper's 8 partitions over the load axis, phase I bounded the
-// way runSACGA bounds it.
-func (c *Config) schedSACGAParams(total int) *sacga.Params {
-	clLo, clHi := sizing.ObjectiveRangeCL()
-	return &sacga.Params{
-		Partitions:         8,
-		PartitionObjective: 1,
-		PartitionLo:        clLo,
-		PartitionHi:        clHi,
-		GentMax:            min(c.iters(200), total/4+1),
-	}
-}
-
 // runRelay digests the NSGA-II → SACGA relay at the shared budget.
 func (c *Config) runRelay(spec sizing.Spec, total int, seed int64) runOut {
 	prob := objective.NewCounter(c.problem(spec))
@@ -102,7 +87,7 @@ func (c *Config) runRelay(spec sizing.Spec, total int, seed int64) runOut {
 		Seed:        seed,
 		Extra: &sched.RelayParams{Legs: []sched.Leg{
 			{Algo: "nsga2", Generations: total / 4},
-			{Algo: "sacga", Extra: c.schedSACGAParams(total)},
+			{Algo: "sacga", Extra: c.sacgaParams(8, total)},
 		}},
 	})
 	out := digest("relay", res.Front, prob.Count(), time.Since(start), 0)
@@ -126,7 +111,7 @@ func (c *Config) runPortfolio(spec sizing.Spec, total int, seed int64) runOut {
 		Extra: &sched.PortfolioParams{
 			Members: []sched.Member{
 				{Algo: "nsga2"},
-				{Algo: "sacga", Extra: c.schedSACGAParams(total)},
+				{Algo: "sacga", Extra: c.sacgaParams(8, total)},
 			},
 			Project: func(ind *ga.Individual) (hypervolume.Point2, bool) {
 				if !ind.Feasible() {

@@ -1,4 +1,4 @@
-package shard
+package fleet
 
 import (
 	"bytes"
@@ -13,16 +13,16 @@ import (
 )
 
 // sealFrame builds one complete frame's bytes.
-func sealFrame(t testing.TB, typ frameType, payload []byte) []byte {
+func sealFrame(t testing.TB, typ FrameType, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, typ, payload); err != nil {
+	if err := WriteFrame(&buf, typ, payload); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// wantCorrupt asserts a readFrame error is a typed *search.CorruptError.
+// wantCorrupt asserts a ReadFrame error is a typed *search.CorruptError.
 func wantCorrupt(t *testing.T, what string, err error) {
 	t.Helper()
 	var ce *search.CorruptError
@@ -35,23 +35,23 @@ func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xa5}, 4096)}
 	var buf bytes.Buffer
 	for i, p := range payloads {
-		if err := writeFrame(&buf, frameType(1+i%3), p); err != nil {
+		if err := WriteFrame(&buf, FrameType(1+i%3), p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, p := range payloads {
-		typ, got, err := readFrame(&buf, "test")
+		typ, got, err := ReadFrame(&buf, "test")
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if typ != frameType(1+i%3) {
+		if typ != FrameType(1+i%3) {
 			t.Fatalf("frame %d: type %d, want %d", i, typ, 1+i%3)
 		}
 		if !bytes.Equal(got, p) {
 			t.Fatalf("frame %d: payload mismatch", i)
 		}
 	}
-	if _, _, err := readFrame(&buf, "test"); err != io.EOF {
+	if _, _, err := ReadFrame(&buf, "test"); err != io.EOF {
 		t.Fatalf("after last frame: %v, want io.EOF", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // The cuts run through fault.Truncate on a real file — the same attack
 // primitive the checkpoint torn-write suite uses.
 func TestFrameTruncation(t *testing.T) {
-	frame := sealFrame(t, frameRequest, []byte("truncation victim payload"))
+	frame := sealFrame(t, FrameRequest, []byte("truncation victim payload"))
 	dir := t.TempDir()
 	for keep := len(frame) - 1; keep >= 0; keep-- {
 		path := filepath.Join(dir, "frame")
@@ -75,7 +75,7 @@ func TestFrameTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, rerr := readFrame(bytes.NewReader(torn), "test")
+		_, _, rerr := ReadFrame(bytes.NewReader(torn), "test")
 		if keep == 0 {
 			if rerr != io.EOF {
 				t.Fatalf("empty cut: %v, want io.EOF", rerr)
@@ -93,7 +93,7 @@ func TestFrameTruncation(t *testing.T) {
 // or CRC — yields a typed corruption, never a clean decode or a panic.
 // Every byte position is attacked through fault.FlipBit.
 func TestFrameFlipBit(t *testing.T) {
-	frame := sealFrame(t, frameReply, []byte("bitflip victim payload"))
+	frame := sealFrame(t, FrameReply, []byte("bitflip victim payload"))
 	dir := t.TempDir()
 	for byteIdx := 0; byteIdx < len(frame); byteIdx++ {
 		for _, bit := range []int64{0, 7} {
@@ -108,7 +108,7 @@ func TestFrameFlipBit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, rerr := readFrame(bytes.NewReader(flipped), "test")
+			_, _, rerr := ReadFrame(bytes.NewReader(flipped), "test")
 			if rerr == nil {
 				t.Fatalf("byte %d bit %d: flipped frame decoded cleanly", byteIdx, bit)
 			}
@@ -120,58 +120,44 @@ func TestFrameFlipBit(t *testing.T) {
 // TestFrameOversizedLength: a length field past the cap is rejected before
 // any allocation its value would imply.
 func TestFrameOversizedLength(t *testing.T) {
-	frame := sealFrame(t, frameRequest, []byte("x"))
-	// Overwrite the length field (bytes 5..9) with maxFramePayload+1.
+	frame := sealFrame(t, FrameRequest, []byte("x"))
+	// Overwrite the length field (bytes 5..9) with MaxFramePayload+1.
 	frame[5], frame[6], frame[7], frame[8] = 0x01, 0x00, 0x00, 0x41 // 1<<30 + 1 LE
-	_, _, err := readFrame(bytes.NewReader(frame), "test")
+	_, _, err := ReadFrame(bytes.NewReader(frame), "test")
 	wantCorrupt(t, "oversized length", err)
 }
 
 // FuzzFrameDecode pins the codec's total-safety contract: arbitrary bytes
 // never panic, never hang, and produce only io.EOF, a typed
-// *search.CorruptError, or a clean frame; a clean frame's payload then
-// gob-decodes under the same guarantee.
+// *search.CorruptError, or a clean frame; a clean hello frame's payload
+// then decodes under the same guarantee.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(sealFrame(f, frameRequest, []byte("seed")))
-	reply, err := encodePayload(&Reply{Replica: 1, Epoch: 2, Evals: 3})
-	if err != nil {
+	f.Add(sealFrame(f, FrameRequest, []byte("seed")))
+	var hello bytes.Buffer
+	if err := writeHello(&hello, &Hello{Proto: ProtocolVersion, Build: "seed"}); err != nil {
 		f.Fatal(err)
 	}
-	full := sealFrame(f, frameReply, reply)
+	full := hello.Bytes()
 	f.Add(full)
 	f.Add(full[:len(full)-3])
 	f.Add(append(append([]byte(nil), full...), full...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
-			typ, payload, err := readFrame(r, "fuzz")
+			typ, payload, err := ReadFrame(r, "fuzz")
 			if err == io.EOF {
 				return
 			}
 			if err != nil {
-				var ce *search.CorruptError
-				if !errors.As(err, &ce) {
-					t.Fatalf("non-typed frame error %T: %v", err, err)
-				}
+				wantCorrupt(t, "frame", err)
 				return
 			}
-			var v any
-			switch typ {
-			case frameRequest:
-				v = new(Request)
-			case frameReply:
-				v = new(Reply)
-			case frameHeartbeat:
-				v = new(Heartbeat)
-			default:
-				return // unknown type is the transport layer's problem
+			if typ != FrameHello {
+				continue // other payloads are the shard protocol's to decode
 			}
-			if derr := decodePayload("fuzz", payload, v); derr != nil {
-				var ce *search.CorruptError
-				if !errors.As(derr, &ce) {
-					t.Fatalf("non-typed payload error %T: %v", derr, derr)
-				}
+			if _, herr := readHello(bytes.NewReader(sealFrame(t, typ, payload))); herr != nil {
+				wantCorrupt(t, "hello payload", herr)
 				return
 			}
 		}

@@ -1,17 +1,26 @@
 package islands
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"sacga/internal/benchfn"
-	"sacga/internal/ga"
 	"sacga/internal/objective"
+	"sacga/internal/search"
 )
 
+// testConfig flattens the run options and the island parameters into one
+// value the fixtures can fill field by field.
+type testConfig struct {
+	search.Options
+	Params
+}
+
 func TestRunZDT1(t *testing.T) {
-	res := runOK(t, benchfn.ZDT1(8), Config{
-		Islands: 4, IslandSize: 20, Generations: 60, Seed: 1,
+	res := runOK(t, benchfn.ZDT1(8), testConfig{
+		Options: search.Options{Generations: 60, Seed: 1},
+		Params:  Params{Islands: 4, IslandSize: 20},
 	})
 	if len(res.Front) == 0 {
 		t.Fatal("empty front")
@@ -30,7 +39,10 @@ func TestRunZDT1(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	cfg := Config{Islands: 3, IslandSize: 12, Generations: 15, Seed: 9}
+	cfg := testConfig{
+		Options: search.Options{Generations: 15, Seed: 9},
+		Params:  Params{Islands: 3, IslandSize: 12},
+	}
 	a := runOK(t, benchfn.ZDT1(6), cfg)
 	b := runOK(t, benchfn.ZDT1(6), cfg)
 	for i := range a.Final {
@@ -47,11 +59,13 @@ func TestIslandsEvolveIndependentlyWithoutMigration(t *testing.T) {
 	// enabled, genetic material spreads. Compare the pooled fronts: the
 	// migrating version should not be worse (on ZDT1 it converges at least
 	// as well), and the runs must differ.
-	iso := runOK(t, benchfn.ZDT1(8), Config{
-		Islands: 4, IslandSize: 16, Generations: 40, Seed: 3, MigrationEvery: -1,
+	iso := runOK(t, benchfn.ZDT1(8), testConfig{
+		Options: search.Options{Generations: 40, Seed: 3},
+		Params:  Params{Islands: 4, IslandSize: 16, MigrationEvery: -1},
 	})
-	mig := runOK(t, benchfn.ZDT1(8), Config{
-		Islands: 4, IslandSize: 16, Generations: 40, Seed: 3, MigrationEvery: 5,
+	mig := runOK(t, benchfn.ZDT1(8), testConfig{
+		Options: search.Options{Generations: 40, Seed: 3},
+		Params:  Params{Islands: 4, IslandSize: 16, MigrationEvery: 5},
 	})
 	same := true
 	for i := range iso.Final {
@@ -67,20 +81,21 @@ func TestIslandsEvolveIndependentlyWithoutMigration(t *testing.T) {
 }
 
 func TestMigrationPreservesPopulationSizes(t *testing.T) {
-	obs := func(gen int, pooled ga.Population) {
-		if len(pooled) != 3*14 {
-			t.Fatalf("pooled size %d at gen %d", len(pooled), gen)
+	obs := search.ObserverFunc(func(f *search.Frame) {
+		if len(f.Pop) != 3*14 {
+			t.Fatalf("pooled size %d at gen %d", len(f.Pop), f.Gen)
 		}
-	}
-	runOK(t, benchfn.ZDT1(6), Config{
-		Islands: 3, IslandSize: 14, Generations: 20, Seed: 4,
-		MigrationEvery: 3, Migrants: 2, Observer: obs,
 	})
+	runOK(t, benchfn.ZDT1(6), testConfig{
+		Options: search.Options{Generations: 20, Seed: 4},
+		Params:  Params{Islands: 3, IslandSize: 14, MigrationEvery: 3, Migrants: 2},
+	}, obs)
 }
 
 func TestConstrainedFeasibleFront(t *testing.T) {
-	res := runOK(t, benchfn.Constr(), Config{
-		Islands: 3, IslandSize: 20, Generations: 50, Seed: 5,
+	res := runOK(t, benchfn.Constr(), testConfig{
+		Options: search.Options{Generations: 50, Seed: 5},
+		Params:  Params{Islands: 3, IslandSize: 20},
 	})
 	for _, ind := range res.Front {
 		if !ind.Feasible() {
@@ -91,7 +106,10 @@ func TestConstrainedFeasibleFront(t *testing.T) {
 
 func TestEvaluationBudget(t *testing.T) {
 	cnt := objective.NewCounter(benchfn.ZDT1(6))
-	runOK(t, cnt, Config{Islands: 2, IslandSize: 10, Generations: 10, Seed: 6})
+	runOK(t, cnt, testConfig{
+		Options: search.Options{Generations: 10, Seed: 6},
+		Params:  Params{Islands: 2, IslandSize: 10},
+	})
 	// init: 2*10; per generation: 2 islands × 10 children.
 	want := int64(20 + 10*20)
 	if cnt.Count() != want {
@@ -100,27 +118,31 @@ func TestEvaluationBudget(t *testing.T) {
 }
 
 func TestNormalizeDefaults(t *testing.T) {
-	var cfg Config
-	cfg.normalize()
-	if cfg.Islands != 4 || cfg.IslandSize != 26 || cfg.MigrationEvery != 10 {
-		t.Fatalf("defaults: %+v", cfg)
+	// The default population (100) splits over the default 4 islands,
+	// and the derived odd size 25 rounds up.
+	var p Params
+	p.normalize(search.DefaultPopSize)
+	if p.Islands != 4 || p.IslandSize != 26 || p.MigrationEvery != 10 {
+		t.Fatalf("defaults: %+v", p)
 	}
 	// Odd island size rounds up; migrant count is capped.
-	cfg = Config{IslandSize: 7, Migrants: 100}
-	cfg.normalize()
-	if cfg.IslandSize != 8 {
-		t.Fatalf("island size %d", cfg.IslandSize)
+	p = Params{IslandSize: 7, Migrants: 100}
+	p.normalize(search.DefaultPopSize)
+	if p.IslandSize != 8 {
+		t.Fatalf("island size %d", p.IslandSize)
 	}
-	if cfg.Migrants > cfg.IslandSize/2 {
-		t.Fatalf("migrants %d exceed half the island", cfg.Migrants)
+	if p.Migrants > p.IslandSize/2 {
+		t.Fatalf("migrants %d exceed half the island", p.Migrants)
 	}
 }
 
-// runOK is Run with faults fatal: the fixtures here never fault, so any
-// returned error is a regression in the legacy wrapper.
-func runOK(t *testing.T, prob objective.Problem, cfg Config) *Result {
+// runOK is search.Run with faults fatal: the fixtures here never fault, so
+// any returned error is a regression in the engine.
+func runOK(t *testing.T, prob objective.Problem, cfg testConfig, obs ...search.Observer) *search.Result {
 	t.Helper()
-	res, err := Run(prob, cfg)
+	opts, p := cfg.Options, cfg.Params
+	opts.Extra = &p
+	res, err := search.Run(context.Background(), new(Engine), prob, opts, obs...)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

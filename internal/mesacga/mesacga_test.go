@@ -1,6 +1,7 @@
 package mesacga
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,18 +9,27 @@ import (
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
 	"sacga/internal/objective"
+	"sacga/internal/search"
 )
 
-func zdtConfig() Config {
-	return Config{
-		PopSize:            50,
-		Schedule:           []int{8, 4, 2, 1},
-		PartitionObjective: 0,
-		PartitionLo:        0,
-		PartitionHi:        1,
-		GentMax:            10,
-		Span:               25,
-		Seed:               1,
+// testConfig flattens the run options and the MESACGA parameters into one
+// value the fixtures can tweak field by field.
+type testConfig struct {
+	search.Options
+	Params
+}
+
+func zdtConfig() testConfig {
+	return testConfig{
+		Options: search.Options{PopSize: 50, Seed: 1},
+		Params: Params{
+			Schedule:           []int{8, 4, 2, 1},
+			PartitionObjective: 0,
+			PartitionLo:        0,
+			PartitionHi:        1,
+			GentMax:            10,
+			Span:               25,
+		},
 	}
 }
 
@@ -59,25 +69,32 @@ func TestEmptyScheduleDefaults(t *testing.T) {
 	}
 }
 
+// TestPhaseObserverCalledInOrder watches the phases through a run
+// observer: each phase runs its scheduled partition count, and its front is
+// recorded in order when it ends.
 func TestPhaseObserverCalledInOrder(t *testing.T) {
 	cfg := zdtConfig()
-	var phases []int
-	var parts []int
-	cfg.PhaseObserver = func(phase, partitions int, pop ga.Population) {
-		phases = append(phases, phase)
-		parts = append(parts, partitions)
-		if len(pop) != cfg.PopSize {
-			t.Fatalf("phase observer saw population of %d", len(pop))
+	var parts []int // grid size observed inside each phase, in order
+	obs := search.ObserverFunc(func(f *search.Frame) {
+		e := f.Engine.(*Engine)
+		if len(f.Pop) != cfg.PopSize {
+			t.Fatalf("generation %d: population of %d", f.Gen, len(f.Pop))
 		}
-	}
-	runOK(t, benchfn.ZDT1(6), cfg)
-	if len(phases) != 4 {
-		t.Fatalf("observer called %d times", len(phases))
-	}
-	for i, p := range phases {
-		if p != i {
-			t.Fatalf("phases out of order: %v", phases)
+		if e.stage != stagePhases {
+			return
 		}
+		// The Step that ends a phase records its front and re-grids, so
+		// after it exactly e.phase fronts exist.
+		if len(e.PhaseFronts()) != e.phase {
+			t.Fatalf("generation %d: %d phase fronts after %d phases", f.Gen, len(e.PhaseFronts()), e.phase)
+		}
+		if e.t > 0 && len(parts) == e.phase {
+			parts = append(parts, e.inner.Grid().M)
+		}
+	})
+	res := runOK(t, benchfn.ZDT1(6), cfg, obs)
+	if len(res.PhaseFronts) != 4 || len(parts) != 4 {
+		t.Fatalf("%d phase fronts, %d phases observed, want 4", len(res.PhaseFronts), len(parts))
 	}
 	for i, m := range parts {
 		if m != cfg.Schedule[i] {
@@ -108,12 +125,12 @@ func TestPhaseFrontsGenerallyImprove(t *testing.T) {
 }
 
 func TestTotalBudgetMode(t *testing.T) {
-	// With Span unset and TotalBudget given, the executed iteration count
-	// must land within one schedule-length of the budget, regardless of
-	// when phase I terminates.
+	// With Span unset, Generations is the total budget: the executed
+	// iteration count must land within one schedule-length of it,
+	// regardless of when phase I terminates.
 	cfg := zdtConfig()
 	cfg.Span = 0
-	cfg.TotalBudget = 97
+	cfg.Generations = 97
 	res := runOK(t, benchfn.ZDT1(6), cfg)
 	if res.Generations > 97 || res.Generations < 97-len(cfg.Schedule) {
 		t.Fatalf("generations %d should approach the 97 budget (gent %d)",
@@ -169,13 +186,15 @@ func TestPhaseFrontsAreDeepCopies(t *testing.T) {
 	}
 }
 
-// runOK is Run with faults fatal: the fixtures here never fault, so any
-// returned error is a regression in the legacy wrapper.
-func runOK(t *testing.T, prob objective.Problem, cfg Config) *Result {
+// runOK is search.Run with faults fatal: the fixtures here never fault, so
+// any returned error is a regression in the engine.
+func runOK(t *testing.T, prob objective.Problem, cfg testConfig, obs ...search.Observer) *Result {
 	t.Helper()
-	res, err := Run(prob, cfg)
-	if err != nil {
+	opts, p := cfg.Options, cfg.Params
+	opts.Extra = &p
+	e := new(Engine)
+	if _, err := search.Run(context.Background(), e, prob, opts, obs...); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return res
+	return e.Result()
 }

@@ -7,6 +7,7 @@ import (
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
 	"sacga/internal/process"
+	"sacga/internal/search"
 	"sacga/internal/sizing"
 )
 
@@ -24,7 +25,7 @@ func frontHV(front ga.Population) float64 {
 // contract: Workers > 1 (pooled evaluation) must reproduce the sequential
 // run exactly — same decision vectors, same objectives, same metric.
 func TestParallelEvaluationBitIdentical(t *testing.T) {
-	cfg := Config{PopSize: 40, Generations: 30, Seed: 11}
+	cfg := search.Options{PopSize: 40, Generations: 30, Seed: 11}
 	seq := runOK(t, benchfn.ZDT1(8), cfg)
 
 	cfg.Workers = 8
@@ -57,7 +58,7 @@ func TestPrivatePoolMatchesSharedPool(t *testing.T) {
 	pool := ga.NewPool(3)
 	defer pool.Close()
 
-	cfg := Config{PopSize: 40, Generations: 20, Seed: 13}
+	cfg := search.Options{PopSize: 40, Generations: 20, Seed: 13}
 	seq := runOK(t, benchfn.ZDT1(6), cfg)
 
 	cfg.Workers = 3
@@ -75,7 +76,7 @@ func TestPrivatePoolMatchesSharedPool(t *testing.T) {
 // bit-for-bit.
 func TestBatchProblemEngineDeterminism(t *testing.T) {
 	prob := sizing.New(process.Default018(), sizing.PaperSpec())
-	cfg := Config{PopSize: 26, Generations: 6, Seed: 17, Workers: 1}
+	cfg := search.Options{PopSize: 26, Generations: 6, Seed: 17, Workers: 1}
 	seq := runOK(t, prob, cfg)
 
 	cfg.Workers = 5

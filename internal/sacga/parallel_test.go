@@ -73,11 +73,15 @@ func TestKernelsSteadyStateZeroAlloc(t *testing.T) {
 	e := newEngineOK(t, prob, zdtConfig(60, 6))
 	// Warm every buffer with a few full iterations (children, union,
 	// double-buffered populations, group-by, sorter adjacency).
-	if _, err := e.PhaseI(3); err != nil {
-		t.Fatalf("PhaseI: %v", err)
+	for it := 0; it < 3; it++ {
+		if err := e.StepLocal(it, 3); err != nil {
+			t.Fatalf("StepLocal: %v", err)
+		}
 	}
-	if err := e.PhaseII(3); err != nil {
-		t.Fatalf("PhaseII: %v", err)
+	for it := 0; it < 3; it++ {
+		if err := e.StepMixed(it, 3); err != nil {
+			t.Fatalf("StepMixed: %v", err)
+		}
 	}
 
 	union := append(append(ga.Population{}, e.pop...), e.pop.Clone()...)

@@ -1,6 +1,7 @@
 package sacga
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,19 +9,34 @@ import (
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
 	"sacga/internal/objective"
+	"sacga/internal/search"
 )
 
-// zdtConfig partitions ZDT1's f2 axis.
-func zdtConfig(pop, m int) Config {
-	return Config{
-		PopSize:            pop,
-		Partitions:         m,
-		PartitionObjective: 0,
-		PartitionLo:        0,
-		PartitionHi:        1,
-		GentMax:            20,
-		Span:               80,
-		Seed:               1,
+// testConfig flattens the run options and the SACGA parameters into one
+// value the fixtures can tweak field by field.
+type testConfig struct {
+	search.Options
+	Params
+}
+
+func (c testConfig) options() search.Options {
+	opts, p := c.Options, c.Params
+	opts.Extra = &p
+	return opts
+}
+
+// zdtConfig partitions ZDT1's f1 axis, with a pinned phase-II span.
+func zdtConfig(pop, m int) testConfig {
+	return testConfig{
+		Options: search.Options{PopSize: pop, Seed: 1},
+		Params: Params{
+			Partitions:         m,
+			PartitionObjective: 0,
+			PartitionLo:        0,
+			PartitionHi:        1,
+			GentMax:            20,
+			Span:               80,
+		},
 	}
 }
 
@@ -76,24 +92,24 @@ func TestPhaseIEndsEarlyWhenFeasibleEverywhere(t *testing.T) {
 
 func TestPopulationSizeStable(t *testing.T) {
 	cfg := zdtConfig(50, 5)
-	cfg.Observer = func(gen int, pop ga.Population) {
-		if len(pop) != 50 {
-			t.Fatalf("population size drifted to %d at gen %d", len(pop), gen)
+	runOK(t, benchfn.ZDT1(6), cfg, search.ObserverFunc(func(f *search.Frame) {
+		if len(f.Pop) != 50 {
+			t.Fatalf("population size drifted to %d at gen %d", len(f.Pop), f.Gen)
 		}
-	}
-	runOK(t, benchfn.ZDT1(6), cfg)
+	}))
 }
 
 func TestConstrainedProblemFeasibleFront(t *testing.T) {
-	cfg := Config{
-		PopSize:            40,
-		Partitions:         5,
-		PartitionObjective: 0,
-		PartitionLo:        0.1,
-		PartitionHi:        1,
-		GentMax:            30,
-		Span:               60,
-		Seed:               3,
+	cfg := testConfig{
+		Options: search.Options{PopSize: 40, Seed: 3},
+		Params: Params{
+			Partitions:         5,
+			PartitionObjective: 0,
+			PartitionLo:        0.1,
+			PartitionHi:        1,
+			GentMax:            30,
+			Span:               60,
+		},
 	}
 	res := runOK(t, benchfn.Constr(), cfg)
 	if len(res.Front) == 0 {
@@ -110,15 +126,16 @@ func TestDeadPartitionsMarked(t *testing.T) {
 	// CONSTR's feasible f1 range is [0.39, 1] (f1 = x1 >= 0.39 needed for
 	// g1, g2): partitions covering f1 < 0.39 can never hold feasible
 	// points and must be discarded after phase I.
-	cfg := Config{
-		PopSize:            60,
-		Partitions:         10,
-		PartitionObjective: 0,
-		PartitionLo:        0.1,
-		PartitionHi:        1.0,
-		GentMax:            25,
-		Span:               30,
-		Seed:               5,
+	cfg := testConfig{
+		Options: search.Options{PopSize: 60, Seed: 5},
+		Params: Params{
+			Partitions:         10,
+			PartitionObjective: 0,
+			PartitionLo:        0.1,
+			PartitionHi:        1.0,
+			GentMax:            25,
+			Span:               30,
+		},
 	}
 	res := runOK(t, benchfn.Constr(), cfg)
 	if len(res.Live) != 10 {
@@ -152,8 +169,10 @@ func TestRunLocalOnlyKeepsDiversity(t *testing.T) {
 		return hypervolume.RefPoint2D(pts, ref)
 	}
 	cfg := zdtConfig(60, 6)
-	local := runLocalOnlyOK(t, prob, cfg, 100)
 	full := runOK(t, prob, cfg)
+	cfg.LocalOnly = true
+	cfg.Generations = 100
+	local := runOK(t, prob, cfg)
 	if len(local.Front) == 0 {
 		t.Fatal("local-only produced empty front")
 	}
@@ -176,8 +195,10 @@ func TestEngineRegrid(t *testing.T) {
 	if e.Grid().M != 8 {
 		t.Fatal("initial grid")
 	}
-	if _, err := e.PhaseI(5); err != nil {
-		t.Fatalf("PhaseI: %v", err)
+	for it := 0; it < 5; it++ {
+		if err := e.StepLocal(it, 5); err != nil {
+			t.Fatalf("StepLocal: %v", err)
+		}
 	}
 	e.Regrid(3)
 	if e.Grid().M != 3 {
@@ -188,11 +209,13 @@ func TestEngineRegrid(t *testing.T) {
 			t.Fatalf("individual in partition %d after regrid to 3", ind.Partition)
 		}
 	}
-	if err := e.PhaseII(10); err != nil {
-		t.Fatalf("PhaseII: %v", err)
+	for it := 0; it < 10; it++ {
+		if err := e.StepMixed(it, 10); err != nil {
+			t.Fatalf("StepMixed: %v", err)
+		}
 	}
 	if len(e.Population()) != 40 {
-		t.Fatalf("population size %d after regrid+phaseII", len(e.Population()))
+		t.Fatalf("population size %d after regrid+phase II", len(e.Population()))
 	}
 }
 
@@ -226,19 +249,27 @@ func dominates(a, b []float64) bool {
 }
 
 func TestConfigNormalization(t *testing.T) {
-	var cfg Config
-	cfg.normalize(2)
-	if cfg.PopSize != 100 || cfg.Partitions != 8 || cfg.N != 5 {
-		t.Fatalf("defaults: %+v", cfg)
+	e := new(Engine)
+	if err := e.Init(benchfn.ZDT1(4), search.Options{}); err != nil {
+		t.Fatal(err)
 	}
-	if cfg.Shape == nil {
+	p := e.Params()
+	if len(e.Population()) != 100 || p.Partitions != 8 || p.N != 5 {
+		t.Fatalf("defaults: pop %d, %+v", len(e.Population()), p)
+	}
+	if p.Shape == nil {
 		t.Fatal("shape must default")
 	}
-	if cfg.Pressure != 1.8 {
+	if p.Pressure != 1.8 {
 		t.Fatal("pressure default")
 	}
+	// Span 0 is not defaulted: it selects the span derived from the
+	// remaining generation budget.
+	if p.Span != 0 {
+		t.Fatalf("span 0 must stay 0 (derived), got %d", p.Span)
+	}
 	// An out-of-range partition objective clamps to the last objective.
-	bad := Config{PartitionObjective: 7}
+	bad := Params{PartitionObjective: 7}
 	bad.normalize(2)
 	if bad.PartitionObjective != 1 {
 		t.Fatalf("out-of-range partition objective should clamp to 1, got %d",
@@ -251,8 +282,8 @@ func TestObserverSeesBothPhases(t *testing.T) {
 	cfg := zdtConfig(30, 4)
 	cfg.GentMax = 5
 	cfg.Span = 20
-	cfg.Observer = func(gen int, pop ga.Population) { gens = gen }
-	res := runOK(t, benchfn.Constr(), wrapConstrRange(cfg))
+	res := runOK(t, benchfn.Constr(), wrapConstrRange(cfg),
+		search.ObserverFunc(func(f *search.Frame) { gens = f.Gen }))
 	if gens != res.Generations {
 		t.Fatalf("observer saw %d generations, result says %d", gens, res.Generations)
 	}
@@ -261,7 +292,7 @@ func TestObserverSeesBothPhases(t *testing.T) {
 	}
 }
 
-func wrapConstrRange(cfg Config) Config {
+func wrapConstrRange(cfg testConfig) testConfig {
 	cfg.PartitionLo, cfg.PartitionHi = 0.1, 1.0
 	cfg.PartitionObjective = 0
 	return cfg
@@ -359,32 +390,35 @@ func TestEvaluationBudget(t *testing.T) {
 	}
 }
 
-// runOK, runLocalOnlyOK and newEngineOK wrap the legacy entry points with
-// faults fatal: the fixtures here never fault, so any returned error is a
-// regression in the wrapper.
-func runOK(t *testing.T, prob objective.Problem, cfg Config) *Result {
+// runResult is a search.Result plus the SACGA state the fixtures check.
+type runResult struct {
+	*search.Result
+	GentUsed int
+	Live     []bool // partitions that survived phase I
+}
+
+// runOK drives a fresh engine through search.Run with faults fatal: the
+// fixtures here never fault, so any returned error is a regression.
+func runOK(t *testing.T, prob objective.Problem, cfg testConfig, obs ...search.Observer) runResult {
 	t.Helper()
-	res, err := Run(prob, cfg)
+	e := new(Engine)
+	res, err := search.Run(context.Background(), e, prob, cfg.options(), obs...)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return res
-}
-
-func runLocalOnlyOK(t *testing.T, prob objective.Problem, cfg Config, gens int) *Result {
-	t.Helper()
-	res, err := RunLocalOnly(prob, cfg, gens)
-	if err != nil {
-		t.Fatalf("RunLocalOnly: %v", err)
+	live := make([]bool, len(e.dead))
+	for k, d := range e.dead {
+		live[k] = !d
 	}
-	return res
+	return runResult{Result: res, GentUsed: e.GentUsed(), Live: live}
 }
 
-func newEngineOK(t *testing.T, prob objective.Problem, cfg Config) *Engine {
+// newEngineOK is Init with faults fatal.
+func newEngineOK(t *testing.T, prob objective.Problem, cfg testConfig) *Engine {
 	t.Helper()
-	e, err := NewEngine(prob, cfg)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+	e := new(Engine)
+	if err := e.Init(prob, cfg.options()); err != nil {
+		t.Fatalf("Init: %v", err)
 	}
 	return e
 }

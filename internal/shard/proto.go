@@ -97,7 +97,7 @@ type Heartbeat struct {
 // WireOptions is the gob-safe projection of search.Options: the fields a
 // replica needs, minus the ones that must not cross a process boundary —
 // MaxEvals (the budget belongs to the coordinator; children never consult
-// the shared counter), Observer and Pool (process-local), StepTimeout (the
+// the shared counter), Pool (process-local) and StepTimeout (the
 // coordinator's lease replaces the in-process watchdog).
 //
 // Extra rides as an interface: a non-nil extension struct's concrete type
