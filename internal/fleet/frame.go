@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"sacga/internal/search"
 )
@@ -57,6 +58,10 @@ const frameHeaderSize = 9
 // MaxFramePayload bounds a frame so a corrupted length field cannot make
 // the reader allocate unbounded memory before the CRC check.
 const MaxFramePayload = 1 << 30
+
+// readChunk bounds how far ReadFrame's buffer runs ahead of the bytes that
+// have arrived, so a forged length costs memory only as its payload does.
+const readChunk = 64 << 10
 
 // FrameType tags what a frame's payload decodes to.
 type FrameType uint8
@@ -116,8 +121,8 @@ func ReadFrame(r io.Reader, src string) (FrameType, []byte, error) {
 	if n > MaxFramePayload {
 		return 0, nil, &search.CorruptError{Path: src, Reason: fmt.Sprintf("frame length %d exceeds the %d cap", n, MaxFramePayload)}
 	}
-	body := make([]byte, int(n)+4) // payload + CRC
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBounded(r, int(n)+4) // payload + CRC
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return 0, nil, &search.CorruptError{Path: src, Reason: "truncated frame body"}
 		}
@@ -131,4 +136,22 @@ func ReadFrame(r io.Reader, src string) (FrameType, []byte, error) {
 		return 0, nil, &search.CorruptError{Path: src, Reason: fmt.Sprintf("frame CRC mismatch: computed %08x, frame records %08x", got, want)}
 	}
 	return typ, payload, nil
+}
+
+// readBounded reads exactly n bytes from r into a buffer that grows by at
+// most readChunk beyond what has been read. A stream that ends early
+// returns io.EOF or io.ErrUnexpectedEOF.
+func readBounded(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), readChunk))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }

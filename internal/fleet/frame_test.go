@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"sacga/internal/fault"
 	"sacga/internal/search"
@@ -125,6 +128,40 @@ func TestFrameOversizedLength(t *testing.T) {
 	frame[5], frame[6], frame[7], frame[8] = 0x01, 0x00, 0x00, 0x41 // 1<<30 + 1 LE
 	_, _, err := ReadFrame(bytes.NewReader(frame), "test")
 	wantCorrupt(t, "oversized length", err)
+}
+
+// TestFrameLengthBomb: a forged header claiming the largest legal payload,
+// then EOF, is a typed corruption error, and the reader's memory tracks the
+// bytes that arrived rather than the length the header claims.
+func TestFrameLengthBomb(t *testing.T) {
+	var header [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(header[0:4], frameMagic)
+	header[4] = byte(FrameRequest)
+	binary.LittleEndian.PutUint32(header[5:9], MaxFramePayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(header[:]), "bomb")
+	runtime.ReadMemStats(&after)
+	wantCorrupt(t, "length bomb", err)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a 9-byte forged header allocated %d bytes, want under 1 MiB", grew)
+	}
+}
+
+// TestFrameChunkedPayload: payloads that span several read chunks, or end
+// exactly on a chunk boundary, round-trip through a reader that returns a
+// few bytes per call, and a truncation past the first chunk is corruption.
+func TestFrameChunkedPayload(t *testing.T) {
+	for _, n := range []int{readChunk - 4, readChunk, 3*readChunk + 17} {
+		payload := bytes.Repeat([]byte{0x5a, 0x3c, 0x99}, n/3+1)[:n]
+		frame := sealFrame(t, FrameReply, payload)
+		typ, got, err := ReadFrame(iotest.HalfReader(bytes.NewReader(frame)), "test")
+		if err != nil || typ != FrameReply || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte payload: type %d, %d bytes, err %v", n, typ, len(got), err)
+		}
+		_, _, err = ReadFrame(bytes.NewReader(frame[:len(frame)-readChunk/2]), "test")
+		wantCorrupt(t, "truncated chunked frame", err)
+	}
 }
 
 // FuzzFrameDecode pins the codec's total-safety contract: arbitrary bytes

@@ -310,8 +310,12 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 	e.isles = make([]ga.Population, e.p.Islands)
 	e.streams = make([]*rng.Stream, e.p.Islands)
 	for k := range e.isles {
+		s, err := rng.FromState(sn.RNG[k])
+		if err != nil {
+			return fmt.Errorf("islands: island %d: %w", k, err)
+		}
 		e.isles[k] = search.UnsnapPopulation(sn.Isles[k])
-		e.streams[k] = rng.FromState(sn.RNG[k])
+		e.streams[k] = s
 	}
 	if e.done() {
 		e.finalize()

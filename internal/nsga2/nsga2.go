@@ -161,7 +161,11 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *Checkp
 	}
 	e.prepare(prob, opts)
 	e.budget.RestoreEvals(cp.Evals)
-	e.s = rng.FromState(sn.RNG)
+	s, err := rng.FromState(sn.RNG)
+	if err != nil {
+		return fmt.Errorf("nsga2: %w", err)
+	}
+	e.s = s
 	e.pop = search.UnsnapPopulation(sn.Pop)
 	e.gen = cp.Gen
 	return nil

@@ -6,9 +6,14 @@
 // seed, and independent components (e.g. the GA operators and the yield
 // estimator) do not perturb each other's sequences when one of them changes
 // how many numbers it consumes.
+//
+// The generator is math/rand's additive lagged-Fibonacci source, vendored in
+// source.go so a Stream can snapshot and restore its register. Every
+// sequence is bit-identical to rand.New(rand.NewSource(seed)).
 package rng
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -17,64 +22,121 @@ import (
 // Stream is a deterministic random number stream. It wraps math/rand with a
 // few domain helpers (gaussians, Latin-hypercube samples, shuffles).
 //
-// A Stream's position is fully determined by its seed and the number of raw
-// source draws consumed so far, which State captures and FromState replays —
-// the checkpoint/resume primitive of the search engines. Snapshots are exact:
-// a restored stream emits bit-identical values to the original.
+// State captures a Stream's generator register and FromState copies it back
+// — the checkpoint/resume primitive of the search engines. Both are
+// O(register), whatever the stream's age. Snapshots are exact: a restored
+// stream emits bit-identical values to the original.
 type Stream struct {
 	r    *rand.Rand
 	src  *countingSource
 	seed int64
 }
 
-// countingSource wraps the standard math/rand source and counts raw draws.
-// Both Int63 and Uint64 advance the underlying generator by exactly one
-// step, so the draw count alone positions the stream. Implementing
+// countingSource is math/rand's generator with a raw-draw counter. Both
+// Int63 and Uint64 advance the generator by exactly one step. Implementing
 // rand.Source64 matters: rand.New special-cases Source64, and wrapping must
 // not change which code path (and therefore which values) rand.Rand uses.
 type countingSource struct {
-	src rand.Source64
-	n   uint64
+	rngSource
+	n uint64
 }
 
-func (c *countingSource) Int63() int64 { c.n++; return c.src.Int63() }
+func (c *countingSource) Int63() int64 { c.n++; return c.rngSource.Int63() }
 
-func (c *countingSource) Uint64() uint64 { c.n++; return c.src.Uint64() }
+func (c *countingSource) Uint64() uint64 { c.n++; return c.rngSource.Uint64() }
 
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed); c.n = 0 }
+func (c *countingSource) Seed(seed int64) { c.rngSource.Seed(seed); c.n = 0 }
 
 // New returns a Stream seeded with seed.
 func New(seed int64) *Stream {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	src := &countingSource{}
+	src.rngSource.Seed(seed)
 	return &Stream{r: rand.New(src), src: src, seed: seed}
 }
 
-// State is a serializable snapshot of a Stream's position: the seed it was
-// created with and the number of raw source draws consumed since. The zero
-// Draws state is the freshly-seeded stream.
+// State is a serializable snapshot of a Stream: the seed it was created
+// with, the number of raw draws consumed since, and the generator register
+// (Tap, Feed, Vec) at that point.
+//
+// A State with no Vec is the seed-and-draw-count form that checkpoints
+// written before the register was carried hold; gob matches fields by name,
+// so those still decode, and FromState replays them from the seed.
 type State struct {
 	Seed  int64
 	Draws uint64
+	// Tap and Feed index Vec; the generator keeps Feed == (Tap+334) % 607.
+	Tap, Feed int
+	// Vec is the 607-word feedback register, or empty in the replay form.
+	Vec []int64
 }
 
-// State captures the stream's current position. The snapshot is O(1); the
-// cost is paid on FromState, which replays the draws.
+// feedOffset is the generator's fixed distance from tap to feed.
+const feedOffset = rngLen - rngTap
+
+// State captures the stream's current position: a copy of the register,
+// about 5.5 KB once gob-encoded.
 func (s *Stream) State() State {
-	return State{Seed: s.seed, Draws: s.src.n}
+	src := s.src
+	return State{
+		Seed:  s.seed,
+		Draws: src.n,
+		Tap:   src.tap,
+		Feed:  src.feed,
+		Vec:   append([]int64(nil), src.vec[:]...),
+	}
 }
 
 // FromState reconstructs the exact stream a State was captured from: the
 // next value drawn from the result is bit-identical to the next value the
-// snapshotted stream would have produced. Replay is O(Draws) at ~1ns per
-// draw — resuming a checkpointed run re-winds millions of draws in
-// milliseconds.
-func FromState(st State) *Stream {
-	s := New(st.Seed)
-	for i := uint64(0); i < st.Draws; i++ {
-		s.src.src.Uint64()
+// snapshotted stream would have produced. A carried register is copied, so
+// the restore costs the same at any Draws. The replay form (no Vec) is
+// rebuilt by seeding and discarding Draws values, O(Draws) at about 1 ns a
+// draw. A malformed State — a Vec that is neither empty nor 607 words, a
+// Tap out of range, a Feed off the generator's invariant, a register no
+// seed reaches, or Tap/Feed set without a Vec — is an error.
+func FromState(st State) (*Stream, error) {
+	src := &countingSource{n: st.Draws}
+	switch len(st.Vec) {
+	case 0:
+		if st.Tap != 0 || st.Feed != 0 {
+			return nil, fmt.Errorf("rng: state carries tap %d and feed %d but no register", st.Tap, st.Feed)
+		}
+		src.rngSource.Seed(st.Seed)
+		for i := uint64(0); i < st.Draws; i++ {
+			src.rngSource.Uint64()
+		}
+	case rngLen:
+		if st.Tap < 0 || st.Tap >= rngLen {
+			return nil, fmt.Errorf("rng: state tap %d outside [0,%d)", st.Tap, rngLen)
+		}
+		if want := (st.Tap + feedOffset) % rngLen; st.Feed != want {
+			return nil, fmt.Errorf("rng: state feed %d, tap %d requires feed %d", st.Feed, st.Tap, want)
+		}
+		if !hasOddWord(st.Vec) {
+			return nil, fmt.Errorf("rng: state register has no odd word")
+		}
+		src.tap, src.feed = st.Tap, st.Feed
+		copy(src.vec[:], st.Vec)
+	default:
+		return nil, fmt.Errorf("rng: state register has %d words, want %d", len(st.Vec), rngLen)
 	}
-	s.src.n = st.Draws
-	return s
+	return &Stream{r: rand.New(src), src: src, seed: st.Seed}, nil
+}
+
+// hasOddWord reports whether a register can belong to a seeded stream. The
+// low bits of the register evolve as a linear feedback shift register, so a
+// register with an odd word keeps one forever, and every seed's register
+// has one among its first 31 words (checked over all 2^31-1 distinct
+// seeds). An all-even register stays all-even: its outputs lose low-order
+// variety, and the all-zero one emits only zeros, on which Shuffle's
+// rejection sampling never terminates.
+func hasOddWord(vec []int64) bool {
+	for _, w := range vec {
+		if w&1 != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Derive returns a child stream whose seed is a deterministic function of

@@ -3,6 +3,7 @@ package rng
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -175,28 +176,61 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestStateRoundTrip(t *testing.T) {
-	// Drive a stream through every kind of draw, snapshot mid-way, and
-	// check the restored stream replays the original bit for bit.
-	s := New(1234)
-	for i := 0; i < 257; i++ {
-		switch i % 6 {
+// drawMix consumes n rounds of mixed draws — every kind of draw the
+// engines make, including the variable-consumption ones (Norm's rejection
+// sampling, Intn's rejection loop) — and folds the values into a digest.
+func drawMix(s *Stream, n int) uint64 {
+	var h uint64
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	for i := 0; i < n; i++ {
+		switch i % 7 {
 		case 0:
-			s.Float64()
+			mix(math.Float64bits(s.Float64()))
 		case 1:
-			s.Intn(17)
+			mix(uint64(s.Intn(17)))
 		case 2:
-			s.Norm() // rejection sampling: variable draw consumption
+			mix(math.Float64bits(s.Norm()))
 		case 3:
-			s.Perm(9)
+			for _, v := range s.Perm(9) {
+				mix(uint64(v))
+			}
 		case 4:
-			s.Shuffle(8, func(a, b int) {})
+			s.Shuffle(8, func(a, b int) { mix(uint64(a<<8 | b)) })
+		case 5:
+			mix(uint64(s.Intn(1<<40 + 3)))
 		default:
-			s.Bool(0.3)
+			if s.Bool(0.3) {
+				mix(1)
+			}
 		}
 	}
-	st := s.State()
-	r := FromState(st)
+	return h
+}
+
+func mustFromState(t testing.TB, st State) *Stream {
+	t.Helper()
+	s, err := FromState(st)
+	if err != nil {
+		t.Fatalf("FromState(seed %d, draws %d): %v", st.Seed, st.Draws, err)
+	}
+	return s
+}
+
+// stateSeeds are the seeds the state properties are checked at: zero (which
+// the generator maps to a fixed seed), negatives, the int64 extremes, and
+// multiples of the generator's 2^31-1 seed modulus, which all fold to zero.
+var stateSeeds = []int64{
+	0, 1, -1, 42, 1234, -987654321,
+	math.MinInt64, math.MinInt64 + 1, math.MaxInt64,
+	1<<31 - 1, 2 * (1<<31 - 1), -(1<<31 - 1), 1<<62 - 1<<62%(1<<31-1),
+}
+
+func TestStateRoundTrip(t *testing.T) {
+	// Drive a stream through every kind of draw, snapshot mid-way, and
+	// check the restored stream continues the original bit for bit.
+	s := New(1234)
+	drawMix(s, 257)
+	r := mustFromState(t, s.State())
 	for i := 0; i < 1000; i++ {
 		if a, b := s.Float64(), r.Float64(); a != b {
 			t.Fatalf("draw %d diverged after restore: %v != %v", i, a, b)
@@ -205,39 +239,212 @@ func TestStateRoundTrip(t *testing.T) {
 			t.Fatalf("gaussian %d diverged after restore: %v != %v", i, a, b)
 		}
 	}
+	if a, b := s.State().Draws, r.State().Draws; a != b {
+		t.Fatalf("draw counts diverged after restore: %d != %d", a, b)
+	}
+}
+
+// TestRegisterRestoreMatchesReplay pins the register form against the
+// replay it replaced: at every seed and draw count, restoring the carried
+// register and replaying (Seed, Draws) from the seed continue the original
+// stream identically for the next 10^4 mixed draws.
+func TestRegisterRestoreMatchesReplay(t *testing.T) {
+	counts := []int{0, 1, 100, 606, 607, 608, 5000, 100000}
+	if testing.Short() {
+		counts = counts[:6]
+	}
+	for _, seed := range stateSeeds {
+		for _, n := range counts {
+			s := New(seed)
+			drawMix(s, n)
+			st := s.State()
+			if len(st.Vec) != 607 {
+				t.Fatalf("seed %d: state carries %d register words", seed, len(st.Vec))
+			}
+			carried := mustFromState(t, st)
+			replayed := mustFromState(t, State{Seed: st.Seed, Draws: st.Draws})
+			if got, want := replayed.State(), st; got.Tap != want.Tap || got.Feed != want.Feed || !slices.Equal(got.Vec, want.Vec) {
+				t.Fatalf("seed %d, %d rounds: replay reached a different register", seed, n)
+			}
+			want := drawMix(s, 10000)
+			if got := drawMix(carried, 10000); got != want {
+				t.Fatalf("seed %d, %d rounds: register restore diverged from the original", seed, n)
+			}
+			if got := drawMix(replayed, 10000); got != want {
+				t.Fatalf("seed %d, %d rounds: replay diverged from the original", seed, n)
+			}
+		}
+	}
+}
+
+// TestRegisterRestoreIsConstantTime restores a register whose draw count
+// is 2^62: a replay could never finish, so returning at all shows the
+// restore does not depend on Draws.
+func TestRegisterRestoreIsConstantTime(t *testing.T) {
+	s := New(7)
+	drawMix(s, 50)
+	st := s.State()
+	st.Draws = 1 << 62
+	r := mustFromState(t, st)
+	for i := 0; i < 1000; i++ {
+		if a, b := s.Float64(), r.Float64(); a != b {
+			t.Fatalf("draw %d diverged: %v != %v", i, a, b)
+		}
+	}
+	if got := r.State().Draws; got != 1<<62+1000 {
+		t.Fatalf("restored stream counts %d draws, want 2^62+1000", got)
+	}
+}
+
+func TestFromStateRejectsMalformed(t *testing.T) {
+	good := New(3).State()
+	with := func(f func(*State)) State {
+		st := good
+		st.Vec = append([]int64(nil), good.Vec...)
+		f(&st)
+		return st
+	}
+	cases := map[string]State{
+		"short register":      with(func(st *State) { st.Vec = st.Vec[:606] }),
+		"long register":       with(func(st *State) { st.Vec = append(st.Vec, 0) }),
+		"negative tap":        with(func(st *State) { st.Tap, st.Feed = -1, 333 }),
+		"tap past end":        with(func(st *State) { st.Tap, st.Feed = 607, 334 }),
+		"feed off invariant":  with(func(st *State) { st.Feed++ }),
+		"feed out of range":   with(func(st *State) { st.Feed = 607 + 334 }),
+		"tap without vec":     {Seed: 3, Tap: 1},
+		"feed without vec":    {Seed: 3, Feed: 334},
+		"one-word register":   {Seed: 3, Vec: []int64{1}},
+		"huge tap":            with(func(st *State) { st.Tap = math.MaxInt }),
+		"huge negative feed":  with(func(st *State) { st.Feed = math.MinInt }),
+		"invariant mod wrong": with(func(st *State) { st.Tap, st.Feed = 300, 634 }),
+		"zero register":       with(func(st *State) { clear(st.Vec) }),
+		"even register": with(func(st *State) {
+			for i := range st.Vec {
+				st.Vec[i] &^= 1
+			}
+		}),
+	}
+	for name, st := range cases {
+		if s, err := FromState(st); err == nil {
+			t.Errorf("%s: FromState accepted a malformed state (stream %p)", name, s)
+		}
+	}
+	if _, err := FromState(good); err != nil {
+		t.Fatalf("well-formed state rejected: %v", err)
+	}
+	wrap := with(func(st *State) { st.Tap, st.Feed = 300, 27 })
+	if _, err := FromState(wrap); err != nil {
+		t.Fatalf("state with a wrapped feed rejected: %v", err)
+	}
+}
+
+// FuzzStateRestore: any (Seed, Draws, Tap, Feed, Vec) either is rejected
+// with an error or restores a stream that draws in-range values and
+// snapshots back to a state FromState accepts. The register is the word
+// pattern repeated to n words, so the fuzzer reaches the 607-word length
+// without growing 5 KB inputs. A replay-form state costs O(Draws) by
+// design, so the fuzzer's draw count is folded to keep each replay short;
+// the carried form takes any Draws.
+func FuzzStateRestore(f *testing.F) {
+	f.Add(int64(1), uint64(0), 0, 0, uint16(0), []byte{})
+	f.Add(int64(2), uint64(1000), 0, 0, uint16(0), []byte{})
+	f.Add(int64(3), uint64(1<<62), 0, 334, uint16(607), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(int64(4), uint64(5), 606, 333, uint16(607), []byte{0})
+	f.Add(int64(5), uint64(5), 273, 0, uint16(607), []byte{0xff})
+	f.Add(int64(6), uint64(5), 0, 334, uint16(606), []byte{7})
+	f.Add(int64(7), uint64(5), 0, 334, uint16(608), []byte{7})
+	f.Add(int64(8), uint64(5), -1, 333, uint16(607), []byte{7})
+	f.Add(int64(9), uint64(5), 3, 3, uint16(0), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, draws uint64, tap, feed int, n uint16, pattern []byte) {
+		st := State{Seed: seed, Draws: draws, Tap: tap, Feed: feed}
+		if n %= 1215; n > 0 {
+			st.Vec = make([]int64, n)
+			for i := range st.Vec {
+				var w int64
+				for b := 0; b < 8 && len(pattern) > 0; b++ {
+					w = w<<8 | int64(pattern[(8*i+b)%len(pattern)])
+				}
+				st.Vec[i] = w
+			}
+		} else {
+			st.Draws %= 1 << 16
+		}
+		s, err := FromState(st)
+		if err != nil {
+			return
+		}
+		if v := s.Float64(); v < 0 || v >= 1 {
+			t.Fatalf("Float64 = %v", v)
+		}
+		if v := s.Intn(10); v < 0 || v >= 10 {
+			t.Fatalf("Intn(10) = %d", v)
+		}
+		if v := s.Norm(); math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("Norm = %v", v)
+		}
+		drawMix(s, 20)
+		again := s.State()
+		r, err := FromState(again)
+		if err != nil {
+			t.Fatalf("snapshot of a restored stream rejected: %v", err)
+		}
+		if a, b := s.Float64(), r.Float64(); a != b {
+			t.Fatalf("re-restored stream diverged: %v != %v", a, b)
+		}
+	})
 }
 
 func TestStateFreshStream(t *testing.T) {
-	// The zero-draw state restores to the freshly-seeded stream.
+	// The zero-draw state restores to the freshly-seeded stream, in both
+	// the register and the replay form.
 	s := New(77)
 	st := s.State()
 	if st.Seed != 77 || st.Draws != 0 {
 		t.Fatalf("fresh state = %+v", st)
 	}
-	a, b := New(77), FromState(st)
+	a, b, c := New(77), mustFromState(t, st), mustFromState(t, State{Seed: 77})
 	for i := 0; i < 100; i++ {
-		if x, y := a.Float64(), b.Float64(); x != y {
+		x, y, z := a.Float64(), b.Float64(), c.Float64()
+		if x != y || x != z {
 			t.Fatalf("fresh restore diverged at %d", i)
 		}
 	}
 }
 
 func TestStateWrapperPreservesSequences(t *testing.T) {
-	// The counting wrapper must not change the emitted values relative to
-	// a bare math/rand generator (bit-compatibility with every sequence
-	// recorded before checkpointing existed).
-	s := New(42)
-	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 500; i++ {
-		if a, b := s.Float64(), r.Float64(); a != b {
-			t.Fatalf("value %d: wrapper %v != bare %v", i, a, b)
+	// The vendored, counting generator must not change the emitted values
+	// relative to a bare math/rand generator (bit-compatibility with every
+	// sequence recorded before checkpointing existed).
+	for _, seed := range stateSeeds {
+		s := New(seed)
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < 500; i++ {
+			if a, b := s.Float64(), r.Float64(); a != b {
+				t.Fatalf("seed %d, value %d: wrapper %v != bare %v", seed, i, a, b)
+			}
+			if a, b := s.Norm(), r.NormFloat64(); a != b {
+				t.Fatalf("seed %d, gaussian %d: wrapper %v != bare %v", seed, i, a, b)
+			}
+			if a, b := s.Intn(1000003), r.Intn(1000003); a != b {
+				t.Fatalf("seed %d, Intn %d: wrapper %v != bare %v", seed, i, a, b)
+			}
+			if a, b := s.Int63(), r.Int63(); a != b {
+				t.Fatalf("seed %d, Int63 %d: wrapper %v != bare %v", seed, i, a, b)
+			}
+		}
+		p, q := s.Perm(20), r.Perm(20)
+		for i := range p {
+			if p[i] != q[i] {
+				t.Fatalf("seed %d: Perm diverged at %d", seed, i)
+			}
 		}
 	}
-	s2 := New(43)
-	r2 := rand.New(rand.NewSource(43))
-	for i := 0; i < 100; i++ {
-		if a, b := s2.Norm(), r2.NormFloat64(); a != b {
-			t.Fatalf("gaussian %d: wrapper %v != bare %v", i, a, b)
-		}
+}
+
+// BenchmarkFloat64 is the cost of one draw through the vendored source.
+func BenchmarkFloat64(b *testing.B) {
+	s := New(1)
+	for b.Loop() {
+		s.Float64()
 	}
 }

@@ -326,8 +326,12 @@ func (e *Engine) Snapshot() *Snapshot {
 
 // restoreSnapshot rebuilds engine state from a snapshot. The caller must
 // have run prepare first.
-func (e *Engine) restoreSnapshot(sn *Snapshot) {
-	e.s = rng.FromState(sn.RNG)
+func (e *Engine) restoreSnapshot(sn *Snapshot) error {
+	s, err := rng.FromState(sn.RNG)
+	if err != nil {
+		return fmt.Errorf("sacga: %w", err)
+	}
+	e.s = s
 	e.pop = search.UnsnapPopulation(sn.Pop)
 	e.dead = append([]bool(nil), sn.Dead...)
 	e.grid = NewGrid(e.p.PartitionObjective, e.p.PartitionLo, e.p.PartitionHi, sn.Partitions)
@@ -336,6 +340,7 @@ func (e *Engine) restoreSnapshot(sn *Snapshot) {
 	e.t = sn.T
 	e.span = sn.Span
 	e.gentUsed = sn.GentUsed
+	return nil
 }
 
 // Checkpoint implements search.Engine.
@@ -356,8 +361,7 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 		return err
 	}
 	e.budget.RestoreEvals(cp.Evals)
-	e.restoreSnapshot(sn)
-	return nil
+	return e.restoreSnapshot(sn)
 }
 
 // Emigrants implements search.Migrator: deep copies of the engine's k best
