@@ -45,12 +45,10 @@ func (c *countingSource) Int63() int64 { c.n++; return c.rngSource.Int63() }
 
 func (c *countingSource) Uint64() uint64 { c.n++; return c.rngSource.Uint64() }
 
-func (c *countingSource) Seed(seed int64) { c.rngSource.Seed(seed); c.n = 0 }
-
 // New returns a Stream seeded with seed.
 func New(seed int64) *Stream {
 	src := &countingSource{}
-	src.rngSource.Seed(seed)
+	src.Seed(seed)
 	return &Stream{r: rand.New(src), src: src, seed: seed}
 }
 
@@ -101,7 +99,7 @@ func FromState(st State) (*Stream, error) {
 		if st.Tap != 0 || st.Feed != 0 {
 			return nil, fmt.Errorf("rng: state carries tap %d and feed %d but no register", st.Tap, st.Feed)
 		}
-		src.rngSource.Seed(st.Seed)
+		src.Seed(st.Seed)
 		for i := uint64(0); i < st.Draws; i++ {
 			src.rngSource.Uint64()
 		}
