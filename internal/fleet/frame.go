@@ -59,8 +59,8 @@ const frameHeaderSize = 9
 // the reader allocate unbounded memory before the CRC check.
 const MaxFramePayload = 1 << 30
 
-// readChunk bounds how far ReadFrame's buffer runs ahead of the bytes that
-// have arrived, so a forged length costs memory only as its payload does.
+// readChunk is the most ReadFrame asks its buffer to grow by at once, so a
+// forged length costs memory only as its payload arrives.
 const readChunk = 64 << 10
 
 // FrameType tags what a frame's payload decodes to.
@@ -138,9 +138,12 @@ func ReadFrame(r io.Reader, src string) (FrameType, []byte, error) {
 	return typ, payload, nil
 }
 
-// readBounded reads exactly n bytes from r into a buffer that grows by at
-// most readChunk beyond what has been read. A stream that ends early
-// returns io.EOF or io.ErrUnexpectedEOF.
+// readBounded reads exactly n bytes from r into a buffer that grows with
+// the bytes read: each step asks for at most readChunk more, and append's
+// growth rule may round that up by about a quarter, so the buffer's
+// capacity stays within about 1.25x of the bytes read plus one readChunk.
+// That geometric growth keeps copying a large frame linear in its size. A
+// stream that ends early returns io.EOF or io.ErrUnexpectedEOF.
 func readBounded(r io.Reader, n int) ([]byte, error) {
 	buf := make([]byte, 0, min(n, readChunk))
 	for len(buf) < n {

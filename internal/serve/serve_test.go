@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,6 +81,25 @@ func mustRaw(t *testing.T, req JobRequest) []byte {
 		t.Fatalf("admit: %v", err)
 	}
 	return ad.rawReq
+}
+
+// lockedBuffer collects a server's log lines, which its workers may write
+// while the test reads them.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -340,12 +363,15 @@ func TestDrainRestartResume(t *testing.T) {
 		t.Fatalf("Drain interrupted %d jobs, want 1", interrupted)
 	}
 
-	s2 := newTestServer(t, Config{Slots: 2, Workers: 1, Dir: dir, CheckpointEvery: 1, Build: build})
+	// The armed checkpoint is stepper-owned and the restarted server's
+	// worker may consume it at once, so observe recovery through the log.
+	var logs lockedBuffer
+	s2 := newTestServer(t, Config{Slots: 2, Workers: 1, Dir: dir, CheckpointEvery: 1, Build: build, Log: log.New(&logs, "", 0)})
 	j, ok := s2.job(view.ID)
 	if !ok {
 		t.Fatal("restarted server did not recover the job")
 	}
-	if j.restoreCP == nil && !j.State().Terminal() {
+	if !strings.Contains(logs.String(), "job "+view.ID+" resumes from") && !j.State().Terminal() {
 		t.Fatal("recovered job has no checkpoint armed")
 	}
 	// Resubmitting the identical request attaches to the recovered job.
