@@ -206,7 +206,7 @@ func BenchmarkCircuitEvaluateBatch(b *testing.B) {
 // before/after dispatch overhead stays measurable; the pooled and
 // sequential rows are the current paths.
 
-// spawnEvaluate is the seed repository's EvaluateParallel: per-call
+// spawnEvaluate is the seed repository's parallel evaluator: per-call
 // goroutines, unbuffered per-index dispatch.
 func spawnEvaluate(p ga.Population, prob objective.Problem, workers int) {
 	var wg sync.WaitGroup
@@ -227,6 +227,14 @@ func spawnEvaluate(p ga.Population, prob objective.Problem, workers int) {
 	wg.Wait()
 }
 
+// mustEvaluate fails the benchmark when an evaluation quarantined an
+// individual: a faulting row would not measure the path engines run.
+func mustEvaluate(b *testing.B, err error) {
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 func benchPopulation(n int) (ga.Population, objective.Problem) {
 	prob := sizing.New(process.Default018(), sizing.PaperSpec())
 	s := rng.New(9)
@@ -235,14 +243,14 @@ func benchPopulation(n int) (ga.Population, objective.Problem) {
 }
 
 // BenchmarkPopulationEvalSequential is the single-threaded floor: one
-// generation's evaluation with no dispatch at all (the batch fast path,
-// scratch warmed — steady state is allocation-free).
+// generation's fault-isolated evaluation with no dispatch at all (the
+// batch fast path, scratch warmed — steady state is allocation-free).
 func BenchmarkPopulationEvalSequential(b *testing.B) {
 	pop, prob := benchPopulation(256)
-	pop.Evaluate(prob) // warm batch scratch + per-individual buffers
+	mustEvaluate(b, pop.TryEvaluate(prob)) // warm batch scratch + per-individual buffers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pop.Evaluate(prob)
+		mustEvaluate(b, pop.TryEvaluate(prob))
 	}
 }
 
@@ -262,10 +270,10 @@ func BenchmarkPopulationEvalSpawnPerCall(b *testing.B) {
 // the batch fast path.
 func BenchmarkPopulationEvalPooled(b *testing.B) {
 	pop, prob := benchPopulation(256)
-	pop.EvaluateParallel(prob, 0) // warm batch scratch + per-individual buffers
+	mustEvaluate(b, pop.TryEvaluateWith(prob, nil, 0)) // warm batch scratch + per-individual buffers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pop.EvaluateParallel(prob, 0)
+		mustEvaluate(b, pop.TryEvaluateWith(prob, nil, 0))
 	}
 }
 
@@ -311,7 +319,7 @@ func BenchmarkExptReplicatesPooled(b *testing.B) {
 // allocation — the pre-arena path.
 func BenchmarkMakeChildren(b *testing.B) {
 	pop, prob := benchPopulation(100)
-	pop.Evaluate(prob)
+	mustEvaluate(b, pop.TryEvaluate(prob))
 	pop.AssignRanksAndCrowding()
 	lo, hi := prob.Bounds()
 	ops := ga.DefaultOperators()
@@ -327,7 +335,7 @@ func BenchmarkMakeChildren(b *testing.B) {
 // BenchmarkMakeChildren under -benchmem; steady state is zero).
 func BenchmarkMakeChildrenArena(b *testing.B) {
 	pop, prob := benchPopulation(100)
-	pop.Evaluate(prob)
+	mustEvaluate(b, pop.TryEvaluate(prob))
 	pop.AssignRanksAndCrowding()
 	lo, hi := prob.Bounds()
 	ops := ga.DefaultOperators()

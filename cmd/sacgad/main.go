@@ -112,7 +112,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() {
 		// The resolved address, not the flag: -addr :0 picks a free port,
@@ -150,6 +150,28 @@ func main() {
 	if interrupted > 0 {
 		fmt.Fprintf(os.Stderr, "sacgad: drained with %d job(s) interrupted mid-run; restart with the same -dir to resume\n", interrupted)
 		os.Exit(3)
+	}
+}
+
+// Connection timeouts of the HTTP server. readHeaderTimeout bounds how
+// long a client may take to send its request header, so slow clients cannot
+// hold connections open without ever making a request; idleTimeout closes
+// keep-alive connections left unused between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server around h. ReadTimeout and
+// WriteTimeout stay 0 (no limit) on purpose: an expiring read deadline
+// cancels the request context, which ends the handler's work mid-request,
+// and a write deadline would cut SSE progress streams, which stay open for
+// a job's whole run.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

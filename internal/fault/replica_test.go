@@ -145,6 +145,22 @@ func TestIslandsDropFailingReplicaDeterministically(t *testing.T) {
 	}
 }
 
+// TestIslandsNegativeRetriesDropReplica: StepRetries < 0 means no
+// retries, so the failing replica is dropped at the first barrier, like an
+// exhausted retry budget, and the run ends exactly as it does with the
+// default budget (an always-failing replica fails every retry too).
+func TestIslandsNegativeRetriesDropReplica(t *testing.T) {
+	cp := chaosParams{TargetSeed: replicaTarget("sched/replica", 1)}
+	opts := islandsChaosOpts(2, cp, 0)
+	opts.Extra.(*sched.IslandsParams).StepRetries = -1
+	got, gotErr := runDegraded(t, "parallel-islands", opts)
+	if len(gotErr.Dropped) != 1 || gotErr.Dropped[0] != 1 || gotErr.AllDead {
+		t.Fatalf("dropped %v (all dead %v), want [1] with survivors", gotErr.Dropped, gotErr.AllDead)
+	}
+	want, _ := runDegraded(t, "parallel-islands", islandsChaosOpts(2, cp, 0))
+	popsIdentical(t, "no-retry islands population", want.Final, got.Final)
+}
+
 // TestIslandsHungReplicaAbandonedByWatchdog pins the third acceptance
 // criterion: a replica whose Step hangs trips the per-replica watchdog, is
 // poisoned (the runaway goroutine still owns its buffers) and excluded from

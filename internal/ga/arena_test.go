@@ -14,7 +14,9 @@ func rankedPopulation(seed int64, n int) Population {
 	s := rng.New(seed)
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, n, lo, hi)
-	pop.Evaluate(prob)
+	if err := pop.TryEvaluate(prob); err != nil {
+		panic(err)
+	}
 	return pop
 }
 

@@ -155,12 +155,20 @@ func TestSBXMeanPreservation(t *testing.T) {
 	}
 }
 
+// noFault fails the test when an evaluation quarantined an individual.
+func noFault(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEvaluateCachesResults(t *testing.T) {
 	prob := benchfn.ZDT1(5)
 	s := rng.New(13)
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, 10, lo, hi)
-	pop.Evaluate(prob)
+	noFault(t, pop.TryEvaluate(prob))
 	for _, ind := range pop {
 		if len(ind.Objectives) != 2 {
 			t.Fatal("objectives not cached")
@@ -287,8 +295,8 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	lo, hi := prob.Bounds()
 	seq := NewRandomPopulation(s, 64, lo, hi)
 	par := seq.Clone()
-	seq.Evaluate(prob)
-	par.EvaluateParallel(prob, 8)
+	noFault(t, seq.TryEvaluate(prob))
+	noFault(t, par.TryEvaluateWith(prob, nil, 8))
 	for i := range seq {
 		for k := range seq[i].Objectives {
 			if seq[i].Objectives[k] != par[i].Objectives[k] {
@@ -303,7 +311,7 @@ func TestEvaluateParallelCounterExact(t *testing.T) {
 	s := rng.New(33)
 	lo, hi := cnt.Bounds()
 	pop := NewRandomPopulation(s, 100, lo, hi)
-	pop.EvaluateParallel(cnt, 16)
+	noFault(t, pop.TryEvaluateWith(cnt, nil, 16))
 	if cnt.Count() != 100 {
 		t.Fatalf("atomic counter lost updates: %d", cnt.Count())
 	}
@@ -314,7 +322,7 @@ func TestEvaluateParallelSmallPopulationFallback(t *testing.T) {
 	s := rng.New(37)
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, 3, lo, hi)
-	pop.EvaluateParallel(prob, 8) // must not deadlock or panic
+	noFault(t, pop.TryEvaluateWith(prob, nil, 8)) // must not deadlock or panic
 	for _, ind := range pop {
 		if len(ind.Objectives) != 2 {
 			t.Fatal("fallback path skipped evaluation")

@@ -108,8 +108,8 @@ func TestEvaluateParallelWorkersExceedPopulation(t *testing.T) {
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, 10, lo, hi)
 	ref := pop.Clone()
-	ref.Evaluate(prob)
-	pop.EvaluateParallel(prob, 1000)
+	noFault(t, ref.TryEvaluate(prob))
+	noFault(t, pop.TryEvaluateWith(prob, nil, 1000))
 	for i := range pop {
 		for k := range pop[i].Objectives {
 			if pop[i].Objectives[k] != ref[i].Objectives[k] {
@@ -129,7 +129,7 @@ func TestEvaluateParallelSmallPopulationStaysSequential(t *testing.T) {
 	s := rng.New(43)
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, minParallelEval-1, lo, hi)
-	pop.EvaluateParallel(prob, 4)
+	noFault(t, pop.TryEvaluateWith(prob, nil, 4))
 	if seen != len(pop) {
 		t.Fatalf("sequential fallback evaluated %d of %d", seen, len(pop))
 	}
@@ -142,8 +142,8 @@ func TestEvaluateParallelDefaultWorkerCount(t *testing.T) {
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, 32, lo, hi)
 	ref := pop.Clone()
-	ref.Evaluate(prob)
-	pop.EvaluateParallel(prob, 0)
+	noFault(t, ref.TryEvaluate(prob))
+	noFault(t, pop.TryEvaluateWith(prob, nil, 0))
 	for i := range pop {
 		if pop[i].Objectives[0] != ref[i].Objectives[0] {
 			t.Fatal("default-worker evaluation diverged")
@@ -158,7 +158,7 @@ func TestEvaluateWithExplicitPool(t *testing.T) {
 	s := rng.New(53)
 	lo, hi := cnt.Bounds()
 	pop := NewRandomPopulation(s, 64, lo, hi)
-	pop.EvaluateWith(cnt, p, 3)
+	noFault(t, pop.TryEvaluateWith(cnt, p, 3))
 	if cnt.Count() != 64 {
 		t.Fatalf("explicit-pool evaluation lost individuals: %d", cnt.Count())
 	}

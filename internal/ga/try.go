@@ -10,19 +10,29 @@ import (
 	"sacga/internal/objective"
 )
 
-// Fault-isolated evaluation. TryEvaluate / TryEvaluateWith are the
-// Evaluate / EvaluateWith counterparts every engine routes through: a
-// panicking or non-finite evaluation quarantines that individual with
-// worst-case objectives (+Inf everywhere, infinite violation) and the call
-// returns a typed *objective.EvalError, while every sibling's result is
-// exactly what the plain path would have produced. Faults are keyed to
-// individuals, never to scheduling, so a faulting run is bit-identical at
-// any worker count; the no-fault fast path allocates nothing at steady
-// state (the fault collector is recycled like the evaluation scratch).
+// Population evaluation. TryEvaluate and TryEvaluateWith are the only
+// evaluation entry points, and every engine routes through them. Problems
+// implementing objective.BatchProblem take the batch fast path: gene-vector
+// views and result slots come from a recycled scratch arena, and the
+// parallel path hands each pool worker a contiguous sub-batch. Every
+// evaluation is fault-isolated: a panicking or non-finite evaluation
+// quarantines that individual with worst-case objectives (+Inf everywhere,
+// infinite violation) and the call returns a typed *objective.EvalError,
+// while every sibling gets exactly the result a clean evaluation produces.
+// Results are written to index-addressed slots and faults are keyed to
+// individuals, never to scheduling, so the batch, scalar, parallel and
+// sequential paths are bit-identical at any worker count, faulting or not.
+// The no-fault path allocates nothing at steady state: the evaluation
+// scratch and the fault collector are both recycled.
 
-// TryEvaluate is Population.Evaluate with fault isolation: it returns nil
-// exactly when every individual evaluated cleanly, and a
-// *objective.EvalError describing the quarantined individuals otherwise.
+// minParallelEval is the population size below which parallel dispatch is
+// not worth its bookkeeping and evaluation stays sequential.
+const minParallelEval = 8
+
+// TryEvaluate evaluates every individual sequentially, caching objectives
+// and total violation. It returns nil exactly when every individual
+// evaluated cleanly, and a *objective.EvalError describing the quarantined
+// individuals otherwise.
 func (p Population) TryEvaluate(prob objective.Problem) error {
 	fs := getFaultSet()
 	if bp, ok := prob.(objective.BatchProblem); ok {
@@ -35,10 +45,13 @@ func (p Population) TryEvaluate(prob objective.Problem) error {
 	return finishFaults(fs)
 }
 
-// TryEvaluateWith is EvaluateWith with fault isolation — same pool and
-// worker semantics, same bit-identical parallel/sequential/batch/scalar
-// contract, plus quarantine instead of a crash when the problem panics or
-// returns non-finite results.
+// TryEvaluateWith is TryEvaluate across a worker pool; a nil pool selects
+// the shared one. Engines that own a private Pool route every generation's
+// evaluation through it, so one set of persistent workers serves the whole
+// run. workers <= 0 selects NumCPU, and populations smaller than
+// minParallelEval stay sequential. Batch problems are split into a few
+// contiguous sub-batches per worker, so uneven per-individual costs still
+// balance.
 func (p Population) TryEvaluateWith(prob objective.Problem, pool *Pool, workers int) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -93,9 +106,10 @@ func (ind *Individual) evalRecover(prob objective.Problem) (err error) {
 	return nil
 }
 
-// tryEvaluateBatch is evaluateBatch with fault isolation. base is p's
-// offset within the enclosing population, so fault indices stay
-// population-global no matter how the batch was sub-divided.
+// tryEvaluateBatch runs p through a BatchProblem in one call, copying each
+// result into the individual's own reused buffers. base is p's offset
+// within the enclosing population, so fault indices stay population-global
+// no matter how the batch was sub-divided.
 func (p Population) tryEvaluateBatch(bp objective.BatchProblem, base int, fs *faultSet) {
 	n := len(p)
 	if n == 0 {

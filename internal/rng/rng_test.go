@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -335,6 +336,28 @@ func TestFromStateRejectsMalformed(t *testing.T) {
 	wrap := with(func(st *State) { st.Tap, st.Feed = 300, 27 })
 	if _, err := FromState(wrap); err != nil {
 		t.Fatalf("state with a wrapped feed rejected: %v", err)
+	}
+}
+
+// TestReplayDrawCap: a replay-form state one draw over the cap errors
+// without replaying, where a replay would take seconds. The sealed replay
+// fixture still resuming is TestReplayFormCheckpointResumes in
+// internal/search.
+func TestReplayDrawCap(t *testing.T) {
+	start := time.Now()
+	if s, err := FromState(State{Seed: 5, Draws: maxReplayDraws + 1}); err == nil {
+		t.Fatalf("FromState accepted a replay of 2^32+1 draws (stream %p)", s)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("rejecting an over-cap replay took %v", d)
+	}
+	s := New(5)
+	drawMix(s, 100)
+	st := s.State()
+	st.Tap, st.Feed, st.Vec = 0, 0, nil
+	r := mustFromState(t, st)
+	if a, b := s.Float64(), r.Float64(); a != b {
+		t.Fatalf("replay under the cap diverged: %v != %v", a, b)
 	}
 }
 

@@ -146,13 +146,14 @@ const poisonedAlgo = "sched/poisoned"
 func poisonedPlaceholder() *search.Checkpoint { return &search.Checkpoint{Algo: poisonedAlgo} }
 
 // StepWithRetry advances one engine under the scheduler's shared fault
-// policy: a failing Step is retried up to `retries` more times, sleeping
-// backoff (doubling per attempt) between tries, each attempt guarded by the
-// watchdog when timeout > 0 and by a panic recover when not. poisoned
-// reports watchdog abandonment — the engine's buffers may still be written
-// by the runaway step, so the caller must never touch the engine again.
-// Retrying a quarantining engine is meaningful because engines complete
-// their generation before reporting the fault: each attempt is a fresh
+// policy: a failing Step is retried up to `retries` more times (none when
+// retries <= 0), sleeping backoff (doubling per attempt) between tries.
+// Each attempt runs through search.GuardedStep: under the watchdog when
+// timeout > 0, and under a panic recover either way. poisoned reports
+// watchdog abandonment — the engine's buffers may still be written by the
+// runaway step, so the caller must never touch the engine again. Retrying
+// a quarantining engine is meaningful because engines complete their
+// generation before reporting the fault: each attempt is a fresh
 // generation that may evaluate cleanly.
 //
 // Exported because this per-step isolation contract is shared budget-wide:
@@ -161,7 +162,7 @@ func poisonedPlaceholder() *search.Checkpoint { return &search.Checkpoint{Algo: 
 // degrades itself, never the ensemble or the serving process.
 func StepWithRetry(eng search.Engine, prob objective.Problem, retries int, backoff, timeout time.Duration) (err error, poisoned bool) {
 	for attempt := 0; ; attempt++ {
-		err = tryStep(eng, prob, timeout)
+		err = search.GuardedStep(eng, prob, timeout)
 		if err == nil {
 			return nil, false
 		}
@@ -181,17 +182,41 @@ func StepWithRetry(eng search.Engine, prob objective.Problem, retries int, backo
 	}
 }
 
-// tryStep is one guarded attempt. Without a watchdog the step still runs
-// under a recover, so a child panic degrades to a droppable error instead
-// of killing the whole ensemble.
-func tryStep(eng search.Engine, prob objective.Problem, timeout time.Duration) (err error) {
-	if timeout > 0 {
-		return search.GuardedStep(eng, prob, timeout)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sched: replica step panicked: %v", r)
+// epochBarrier is the replica-step policy ParallelIslands and Portfolio
+// share: every live child advances its epoch's generations concurrently,
+// each generation under StepWithRetry, and a child whose retries run out
+// stops for the epoch and is dropped at the barrier.
+type epochBarrier struct {
+	fails []replicaFailure // per-epoch scratch, index-addressed
+}
+
+// reset sizes the barrier for n children.
+func (b *epochBarrier) reset(n int) { b.fails = make([]replicaFailure, n) }
+
+// step runs one epoch: child i takes up to gens(i) generations, stopping
+// early when it is done, with at most workers children stepping at once.
+// Failures are dropped into reps in child-index order, so the outcome is
+// the same at any worker count. It reports whether no child survives.
+func (b *epochBarrier) step(engines []search.Engine, probs []objective.Problem, reps *ReplicaSet,
+	workers, retries int, backoff, timeout time.Duration, gens func(i int) int) (allDead bool) {
+	clear(b.fails)
+	runIndexed(len(engines), workers, func(i int) error {
+		if reps.dead[i] {
+			return nil
 		}
-	}()
-	return eng.Step()
+		eng := engines[i]
+		for g := 0; g < gens(i) && !eng.Done(); g++ {
+			if err, poisoned := StepWithRetry(eng, probs[i], retries, backoff, timeout); err != nil {
+				b.fails[i] = replicaFailure{err: err, poisoned: poisoned}
+				return nil
+			}
+		}
+		return nil
+	})
+	for i, f := range b.fails {
+		if f.err != nil {
+			reps.Drop(i, f.err, f.poisoned)
+		}
+	}
+	return reps.AllDead()
 }

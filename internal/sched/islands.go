@@ -58,9 +58,8 @@ type IslandsParams struct {
 	// stepping. Results are bit-identical at every setting.
 	StepWorkers int
 	// StepRetries is how many extra attempts a failing replica Step gets
-	// before the replica is dropped at the epoch barrier (default 2).
-	// Negative disables the fault-tolerance layer entirely: the first
-	// replica error aborts the epoch, the pre-fault-tolerant behavior.
+	// before the replica is dropped at the epoch barrier (default 2);
+	// negative means no retries, so the first failure drops the replica.
 	StepRetries int
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// attempt; 0 retries immediately. Sleeping never affects determinism —
@@ -113,8 +112,8 @@ type ParallelIslands struct {
 	pooled  ga.Population
 	final   bool
 	reps    ReplicaSet
-	fails   []replicaFailure // per-epoch scratch, index-addressed
-	livebuf []int            // scratch for liveIndices
+	barrier epochBarrier
+	livebuf []int // scratch for liveIndices
 }
 
 // IslandsSnapshot is the composite checkpoint payload: every replica's own
@@ -162,7 +161,7 @@ func (e *ParallelIslands) prepare(prob objective.Problem, opts search.Options) e
 	}
 	e.pooled = make(ga.Population, 0, e.opts.PopSize)
 	e.reps.Reset(e.p.Replicas)
-	e.fails = make([]replicaFailure, e.p.Replicas)
+	e.barrier.reset(e.p.Replicas)
 	return nil
 }
 
@@ -241,48 +240,21 @@ func (e *ParallelIslands) Init(prob objective.Problem, opts search.Options) erro
 // one generation concurrently, then migration runs at the epoch barrier
 // when due, in replica-index order.
 //
-// Replica faults degrade the ensemble instead of aborting it (unless
-// StepRetries is negative): a replica whose Step keeps failing after the
-// retry budget is dropped at the epoch barrier, in replica-index order, and
-// the remaining replicas finish the run bit-identically to a run configured
-// without the dropped replica's steps. The accumulated *ReplicaError is
-// returned by the finalizing Step, alongside the valid pooled Result — or
-// immediately, when no replica survives.
+// Replica faults degrade the ensemble instead of aborting it: a replica
+// whose Step keeps failing after the retry budget is dropped at the epoch
+// barrier, in replica-index order, and the remaining replicas finish the
+// run bit-identically to a run configured without the dropped replica's
+// steps. The accumulated *ReplicaError is returned by the finalizing Step,
+// alongside the valid pooled Result — or immediately, when no replica
+// survives.
 func (e *ParallelIslands) Step() error {
 	if e.Done() {
 		return nil
 	}
-	if e.p.StepRetries < 0 {
-		err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-			if e.engines[i].Done() {
-				return nil
-			}
-			return e.engines[i].Step()
-		})
-		if err != nil {
-			return fmt.Errorf("sched: parallel-islands: %w", err)
-		}
-	} else {
-		for i := range e.fails {
-			e.fails[i] = replicaFailure{}
-		}
-		runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-			if e.reps.dead[i] || e.engines[i].Done() {
-				return nil
-			}
-			err, poisoned := StepWithRetry(e.engines[i], e.probs[i], e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout)
-			e.fails[i] = replicaFailure{err: err, poisoned: poisoned}
-			return nil
-		})
-		for i, f := range e.fails { // epoch barrier: drops in replica-index order
-			if f.err != nil {
-				e.reps.Drop(i, f.err, f.poisoned)
-			}
-		}
-		if e.reps.AllDead() {
-			e.finalize()
-			return e.reps.TakeErr(e.Name())
-		}
+	if e.barrier.step(e.engines, e.probs, &e.reps, e.p.StepWorkers, e.p.StepRetries,
+		e.p.RetryBackoff, e.p.StepTimeout, oneGeneration) {
+		e.finalize()
+		return e.reps.TakeErr(e.Name())
 	}
 	e.epoch++
 	if e.p.MigrationEvery > 0 && e.epoch%e.p.MigrationEvery == 0 && !e.done() {
@@ -294,6 +266,9 @@ func (e *ParallelIslands) Step() error {
 	}
 	return nil
 }
+
+// oneGeneration is a ParallelIslands epoch: one generation per replica.
+func oneGeneration(int) int { return 1 }
 
 // liveIndices returns the indices of replicas still being stepped, in
 // ascending order.

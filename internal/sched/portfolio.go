@@ -44,9 +44,8 @@ type PortfolioParams struct {
 	// Results are bit-identical at every setting.
 	StepWorkers int
 	// StepRetries is how many extra attempts a failing member generation
-	// gets before the member is dropped at the epoch barrier (default 2).
-	// Negative disables the fault-tolerance layer entirely: the first
-	// member error aborts the epoch, the pre-fault-tolerant behavior.
+	// gets before the member is dropped at the epoch barrier (default 2);
+	// negative means no retries, so the first failure drops the member.
 	StepRetries int
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// attempt; 0 retries immediately.
@@ -100,7 +99,7 @@ type Portfolio struct {
 	pooled  ga.Population
 	final   bool
 	reps    ReplicaSet
-	fails   []replicaFailure // per-epoch scratch, index-addressed
+	barrier epochBarrier
 
 	calc hypervolume.Calc
 	pts  []hypervolume.Point2
@@ -153,7 +152,7 @@ func (e *Portfolio) prepare(prob objective.Problem, opts search.Options) error {
 	e.scores = make([]float64, len(e.engines))
 	e.pooled = make(ga.Population, 0, len(e.engines)*opts.PopSize)
 	e.reps.Reset(len(e.engines))
-	e.fails = make([]replicaFailure, len(e.engines))
+	e.barrier.reset(len(e.engines))
 	return nil
 }
 
@@ -182,67 +181,28 @@ func (e *Portfolio) Init(prob objective.Problem, opts search.Options) error {
 // Step implements search.Engine: one epoch — every live member advances
 // its allocation concurrently, then the barrier rescores the race.
 //
-// Member faults degrade the race instead of aborting it (unless
-// StepRetries is negative): a member whose generation keeps failing after
-// the retry budget is dropped at the epoch barrier, in member-index order;
-// its last-good population still competes in the final pooled front (unless
-// the watchdog abandoned it mid-step) but it receives no further budget and
-// never holds the boost. The accumulated *ReplicaError is returned by the
-// finalizing Step alongside the valid pooled Result — or immediately when
-// no member survives.
+// Member faults degrade the race instead of aborting it: a member whose
+// generation keeps failing after the retry budget is dropped at the epoch
+// barrier, in member-index order; its last-good population still competes
+// in the final pooled front (unless the watchdog abandoned it mid-step) but
+// it receives no further budget and never holds the boost. The accumulated
+// *ReplicaError is returned by the finalizing Step alongside the valid
+// pooled Result — or immediately when no member survives.
 func (e *Portfolio) Step() error {
 	if e.Done() {
 		return nil
 	}
 	base, boost, best := e.p.EpochGens, e.p.Boost, e.best
-	if e.p.StepRetries < 0 {
-		err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-			eng := e.engines[i]
-			alloc := base
-			if i == best {
-				alloc += boost
-			}
-			for g := 0; g < alloc && !eng.Done(); g++ {
-				if err := eng.Step(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("sched: portfolio: %w", err)
+	alloc := func(i int) int {
+		if i == best {
+			return base + boost
 		}
-	} else {
-		for i := range e.fails {
-			e.fails[i] = replicaFailure{}
-		}
-		runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-			eng := e.engines[i]
-			if e.reps.dead[i] {
-				return nil
-			}
-			alloc := base
-			if i == best {
-				alloc += boost
-			}
-			for g := 0; g < alloc && !eng.Done(); g++ {
-				err, poisoned := StepWithRetry(eng, e.probs[i], e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout)
-				if err != nil {
-					e.fails[i] = replicaFailure{err: err, poisoned: poisoned}
-					return nil
-				}
-			}
-			return nil
-		})
-		for i, f := range e.fails { // epoch barrier: drops in member-index order
-			if f.err != nil {
-				e.reps.Drop(i, f.err, f.poisoned)
-			}
-		}
-		if e.reps.AllDead() {
-			e.finalize()
-			return e.reps.TakeErr(e.Name())
-		}
+		return base
+	}
+	if e.barrier.step(e.engines, e.probs, &e.reps, e.p.StepWorkers, e.p.StepRetries,
+		e.p.RetryBackoff, e.p.StepTimeout, alloc) {
+		e.finalize()
+		return e.reps.TakeErr(e.Name())
 	}
 	e.epoch++
 	e.rescore()

@@ -20,8 +20,9 @@ import (
 //	GET    /workers           shared-fleet health → []fleet.WorkerStat
 //	GET    /healthz           liveness + drain state
 //
-// Admission failures map to 400, an unknown job to 404, a full table to
-// 429, and a draining server to 503 (load balancers retry elsewhere).
+// Admission failures map to 400, an unknown job to 404, a submission body
+// over maxSubmitBody to 413, a full table to 429, and a draining server to
+// 503 (load balancers retry elsewhere).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -37,12 +38,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBody caps a POST /jobs body. A job request is a problem spec,
+// options and engine params, a few KB at most, so 1 MiB leaves ample room
+// while bounding what one client can make the server buffer.
+const maxSubmitBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request: "+err.Error(), status)
 		return
 	}
 	view, deduped, err := s.Submit(req)

@@ -248,10 +248,12 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 			return reply
 		}
 		if !eng.Done() {
-			// Guard the step so an engine panic degrades to a droppable
+			// Recover the step so an engine panic degrades to a droppable
 			// reply error instead of killing the worker (and with it any
-			// diagnostic value in the reply).
-			stepErr = guardedEngineStep(eng)
+			// diagnostic value in the reply). No watchdog: process
+			// isolation already contains runaway state, and the
+			// coordinator's lease reclaims a wedged worker.
+			stepErr = search.GuardedStep(eng, prob, 0)
 		}
 	}
 	ckpt, err := search.EncodeCheckpoint(eng.Checkpoint())
@@ -267,16 +269,4 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 		reply.Err = stepErr.Error()
 	}
 	return reply
-}
-
-// guardedEngineStep runs one Step under a recover, like sched.tryStep's
-// unguarded path: process isolation already contains runaway state, so the
-// in-process watchdog machinery is unnecessary here.
-func guardedEngineStep(eng search.Engine) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("shard: replica step panicked: %v", r)
-		}
-	}()
-	return eng.Step()
 }
