@@ -11,9 +11,14 @@
 // a typed version error on its side; a problem this worker cannot build
 // is rejected before any step runs.
 //
-// The daemon holds no replica state between requests, so killing it at
-// any moment is safe: coordinators replay the interrupted step against
-// another worker (or this one, once restarted) bit-identically. On
+// Request and reply payloads ride one gob stream per direction per
+// connection, so type descriptors cross once per connection; that codec
+// state is created with the connection and dies with it.
+//
+// The daemon holds no replica state between requests, and codec state
+// only for a connection's lifetime, so killing it at any moment is safe:
+// coordinators redial with fresh streams and replay the interrupted step
+// against another worker (or this one, once restarted) bit-identically. On
 // SIGTERM or SIGINT it stops accepting, closes every live connection and
 // exits; a second signal exits immediately.
 //

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -139,6 +141,29 @@ func TestHandshakeNonHelloFrame(t *testing.T) {
 	var ce *search.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("server error %T (%v), want *search.CorruptError", err, err)
+	}
+}
+
+// TestHandshakeHelloLengthBomb: a hello frame header claiming a payload
+// far past the hello cap, followed by megabytes of stream, is typed
+// corruption read through the small hello cap — the handshake allocates
+// for the cap, never for the forged length or the bytes behind it.
+func TestHandshakeHelloLengthBomb(t *testing.T) {
+	var header [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(header[0:4], frameMagic)
+	header[4] = byte(FrameHello)
+	binary.LittleEndian.PutUint32(header[5:9], MaxFramePayload)
+	stream := io.MultiReader(bytes.NewReader(header[:]), bytes.NewReader(make([]byte, 8<<20)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ServerHandshake(stream, io.Discard, HandshakeConfig{})
+	runtime.ReadMemStats(&after)
+	var ce *search.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("server error %T (%v), want *search.CorruptError", err, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a forged hello header allocated %d bytes, want under 1 MiB", grew)
 	}
 }
 

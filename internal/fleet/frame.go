@@ -20,11 +20,16 @@
 //     A pool can be owned by one sharded run or shared across every
 //     tenant of a job server: sessions are the bounded worker budget.
 //
-// The fault model is inherited from shard, not defined here: workers are
-// stateless between requests, so a connection that dies, wedges or
-// corrupts is simply tainted (killed, never reused) and the same request
-// replays against a fresh dial — bit-identical, which is what keeps every
-// transport behind this seam interchangeable.
+// Payloads ride one persistent gob stream per direction per connection
+// (Codec, held by each Link and by each worker connection), so type
+// descriptors cross the wire once per connection, not once per frame.
+//
+// The fault model is inherited from shard, not defined here: workers hold
+// no replica state between requests, and codec state only for the
+// connection's lifetime, so a connection that dies, wedges or corrupts is
+// simply tainted (killed, never reused) and the same request replays
+// against a fresh dial with fresh streams — bit-identical, which is what
+// keeps every transport behind this seam interchangeable.
 package fleet
 
 import (
@@ -59,6 +64,11 @@ const frameHeaderSize = 9
 // the reader allocate unbounded memory before the CRC check.
 const MaxFramePayload = 1 << 30
 
+// maxHelloPayload bounds a hello frame: a Hello is a few short strings, so
+// a peer that has not yet proved it speaks the protocol cannot make the
+// handshake read more than this.
+const maxHelloPayload = 16 << 10
+
 // readChunk is the most ReadFrame asks its buffer to grow by at once, so a
 // forged length costs memory only as its payload arrives.
 const readChunk = 64 << 10
@@ -67,15 +77,18 @@ const readChunk = 64 << 10
 type FrameType uint8
 
 const (
-	// FrameRequest carries a gob shard.Request (coordinator → worker).
+	// FrameRequest carries a shard.Request on the connection's
+	// coordinator → worker gob stream.
 	FrameRequest FrameType = 1
-	// FrameReply carries a gob shard.Reply (worker → coordinator).
+	// FrameReply carries a shard.Reply on the connection's worker →
+	// coordinator gob stream.
 	FrameReply FrameType = 2
-	// FrameHeartbeat carries a gob shard.Heartbeat (worker → coordinator,
-	// periodically while a step is in flight).
+	// FrameHeartbeat has an empty payload (worker → coordinator,
+	// periodically while a step is in flight). It is written from another
+	// goroutine than replies, so it never touches the gob stream.
 	FrameHeartbeat FrameType = 3
-	// FrameHello carries a gob Hello — the first frame in each direction
-	// on a fresh connection, before any request.
+	// FrameHello carries a self-contained gob Hello — the first frame in
+	// each direction on a fresh connection, before any request.
 	FrameHello FrameType = 4
 )
 
@@ -103,6 +116,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // typed *search.CorruptError; transport failures surface as the underlying
 // read error.
 func ReadFrame(r io.Reader, src string) (FrameType, []byte, error) {
+	return readFrame(r, src, MaxFramePayload)
+}
+
+// readFrame is ReadFrame with the payload cap as a parameter.
+func readFrame(r io.Reader, src string, limit uint32) (FrameType, []byte, error) {
 	var header [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		if err == io.EOF {
@@ -118,8 +136,8 @@ func ReadFrame(r io.Reader, src string) (FrameType, []byte, error) {
 	}
 	typ := FrameType(header[4])
 	n := binary.LittleEndian.Uint32(header[5:9])
-	if n > MaxFramePayload {
-		return 0, nil, &search.CorruptError{Path: src, Reason: fmt.Sprintf("frame length %d exceeds the %d cap", n, MaxFramePayload)}
+	if n > limit {
+		return 0, nil, &search.CorruptError{Path: src, Reason: fmt.Sprintf("frame length %d exceeds the %d cap", n, limit)}
 	}
 	body, err := readBounded(r, int(n)+4) // payload + CRC
 	if err != nil {

@@ -16,10 +16,12 @@ import (
 )
 
 // ProtocolVersion is the shard wire protocol generation. Bumped on any
-// incompatible change to the frame layout or the gob payload types, so a
-// stale worker binary is rejected at dial time instead of producing a
-// mid-run decode error.
-const ProtocolVersion = 1
+// incompatible change to the frame layout, the gob payload types or how
+// payloads are streamed, so a stale worker binary is rejected at dial time
+// instead of producing a mid-run decode error. Version 2 streams payloads
+// on one gob stream per direction per connection and carries replica
+// checkpoints as values.
+const ProtocolVersion = 2
 
 // Hello is the handshake frame each side sends exactly once, before any
 // request, on a fresh connection. The dialer (coordinator) writes first;
@@ -174,15 +176,20 @@ func writeHello(w io.Writer, h *Hello) error {
 	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
 		return err
 	}
+	if buf.Len() > maxHelloPayload {
+		return fmt.Errorf("fleet: hello of %d bytes exceeds the %d cap", buf.Len(), maxHelloPayload)
+	}
 	return WriteFrame(w, FrameHello, buf.Bytes())
 }
 
-// readHello reads and decodes the single Hello frame. Any other frame
-// type here means the peer skipped the handshake — a pre-handshake binary
-// or a desynced stream — and is reported as corruption, still before any
-// request payload was trusted.
+// readHello reads and decodes the single Hello frame, through the small
+// hello cap rather than MaxFramePayload: a forged length header costs at
+// most maxHelloPayload bytes. Any other frame type here means the peer
+// skipped the handshake — a pre-handshake binary or a desynced stream —
+// and is reported as corruption, still before any request payload was
+// trusted.
 func readHello(r io.Reader) (h Hello, err error) {
-	typ, payload, err := ReadFrame(r, helloSrc)
+	typ, payload, err := readFrame(r, helloSrc, maxHelloPayload)
 	if err != nil {
 		return Hello{}, err
 	}

@@ -17,11 +17,13 @@ type Frame struct {
 // Link is a dialed connection plus its reader goroutine: incoming frames
 // (and the terminal stream error) are delivered on Frames in order, so a
 // caller can select over them alongside lease and heartbeat timers. The
-// channel closes when the stream ends. Like the Conn under it, a Link is
-// owned by one user at a time.
+// channel closes when the stream ends. The link's Codec carries the gob
+// stream state of both directions for the connection's lifetime. Like the
+// Conn under it, a Link is owned by one user at a time.
 type Link struct {
 	conn   Conn
 	addr   string
+	codec  *Codec
 	frames chan Frame
 	last   atomic.Int64 // unix nanos of the last good frame; liveness stat
 	drop   sync.Once
@@ -30,7 +32,7 @@ type Link struct {
 // NewLink wraps an already-handshaken connection and starts its reader.
 // addr labels the stream in errors and stats.
 func NewLink(c Conn, addr string) *Link {
-	l := &Link{conn: c, addr: addr, frames: make(chan Frame, 4)}
+	l := &Link{conn: c, addr: addr, codec: NewCodec(), frames: make(chan Frame, 4)}
 	go func() {
 		defer close(l.frames)
 		for {
@@ -53,9 +55,23 @@ func (l *Link) Addr() string { return l.addr }
 // Frames is the incoming frame stream.
 func (l *Link) Frames() <-chan Frame { return l.frames }
 
-// WriteFrame sends one frame on the connection.
-func (l *Link) WriteFrame(typ FrameType, payload []byte) error {
+// Send encodes v on the link's outgoing gob stream and writes it as one
+// frame of type typ. An error leaves the stream state undefined: the link
+// is tainted.
+func (l *Link) Send(typ FrameType, v any) error {
+	payload, err := l.codec.Encode(v)
+	if err != nil {
+		return err
+	}
 	return WriteFrame(l.conn, typ, payload)
+}
+
+// Decode decodes one incoming frame payload from the link's gob stream
+// into v. Payloads must be decoded in the order their frames arrived, and
+// a frame that carries no gob payload (a heartbeat) must not be decoded.
+// Failures are typed *search.CorruptError and taint the link.
+func (l *Link) Decode(payload []byte, v any) error {
+	return l.codec.Decode(l.addr, payload, v)
 }
 
 // SetDeadline arms (or, with the zero time, clears) read and write

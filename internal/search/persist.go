@@ -13,10 +13,11 @@ import (
 
 // Durable checkpoints: the gob serialization of a Checkpoint with a
 // small versioned header and a CRC-guarded footer. EncodeCheckpoint and
-// DecodeCheckpoint expose the sealed byte form itself — it doubles as the
-// wire format the cross-process shard runtime ships between coordinator
-// and workers — while SaveCheckpoint/LoadCheckpoint add the on-disk
-// atomicity layer (temp file + rename) with last-good rotation. gob is
+// DecodeCheckpoint expose the sealed byte form itself, while
+// SaveCheckpoint/LoadCheckpoint add the on-disk atomicity layer (temp file
+// + rename) with last-good rotation. The sealed form is for storage: the
+// cross-process shard runtime sends Checkpoint values on its connection's
+// gob stream instead, sealed in transit by the frame CRC. gob is
 // the one codec the Checkpoint types are designed for — Snapshot payloads
 // are registered by their engine packages from init, and gob round-trips
 // the ±Inf crowding distances JSON rejects.
@@ -26,7 +27,7 @@ import (
 //	[gob(diskCheckpoint)] [payload length: uint64 LE] [CRC32-C: uint32 LE] [footer magic: uint32 LE]
 //
 // The footer turns silent corruption (bit rot, torn writes that survived
-// rename, copy truncation, a frame mangled in transit) into a typed
+// rename, copy truncation) into a typed
 // *CorruptError instead of a gob panic or a mis-decode. SaveCheckpoint
 // rotates the previous snapshot to path+PrevSuffix before installing the
 // new one, and LoadLatestCheckpoint falls back to it — so one corrupted
@@ -76,8 +77,7 @@ type diskCheckpoint struct {
 
 // EncodeCheckpoint serializes cp into the sealed checkpoint form: the gob
 // envelope followed by the length/CRC footer. The bytes are exactly what
-// SaveCheckpoint writes to disk, and what the shard runtime ships over
-// worker pipes — one format, one integrity check.
+// SaveCheckpoint writes to disk.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("search: encode nil checkpoint")

@@ -4,15 +4,17 @@
 // worker count, with or without transient worker deaths, the pooled
 // result is bit-identical to the in-process scheduler.
 //
-// The design rests on one invariant: workers are STATELESS between epochs.
-// The coordinator owns every replica's state as a sealed checkpoint (the
-// search.SaveCheckpoint byte format, CRC footer included) and ships it to
-// a worker for each epoch; the worker restores the engine, advances it one
-// generation, and ships the new checkpoint back. A worker that crashes,
-// wedges or corrupts its stream therefore loses nothing the coordinator
-// cannot replay: the last epoch snapshot is re-dispatched to a fresh
-// worker, and a retried step is bit-identical to the one that was lost —
-// which is why a SIGKILLed worker is fully masked, not merely tolerated.
+// The design rests on one invariant: workers hold NO replica state between
+// requests, and codec state only for a connection's lifetime. The
+// coordinator owns every replica's state as a search.Checkpoint value and
+// ships it to a worker for each epoch, as a field of the request on the
+// connection's gob stream; the worker restores the engine, advances it one
+// generation, and ships the new checkpoint back the same way. A worker
+// that crashes, wedges or corrupts its stream therefore loses nothing the
+// coordinator cannot replay: the last epoch snapshot is re-dispatched to a
+// fresh worker over fresh streams, and a retried step is bit-identical to
+// the one that was lost — which is why a SIGKILLed worker is fully masked,
+// not merely tolerated.
 //
 // HOW workers are reached lives one layer down, in internal/fleet: the
 // coordinator draws connections from a fleet.Pool, whose transports spawn
@@ -34,8 +36,9 @@
 //   - a replica whose retry budget is exhausted is dropped at the epoch
 //     barrier in replica-index order, exactly like the in-process
 //     scheduler's drops, accumulating into *sched.ReplicaError;
-//   - corrupt or torn frames — and corrupt checkpoints inside them —
-//     surface as typed *search.CorruptError, never a gob panic; a
+//   - corrupt or torn frames — and CRC-valid replies whose checkpoint is
+//     missing or names another engine — surface as typed
+//     *search.CorruptError, never a gob panic, and are retried; a
 //     coordinator/worker binary mismatch is a typed *fleet.VersionError
 //     at dial time, which fails the replica without burning retries.
 package shard

@@ -179,8 +179,7 @@ func (p *Params) normalize() error {
 // barrier, in replica-index order.
 //
 // The coordinator is the single source of truth: it holds every replica's
-// state as a sealed checkpoint (authoritative bytes, in the
-// search.SaveCheckpoint format) plus the ensemble accounting. Workers are
+// state as a checkpoint value plus the ensemble accounting. Workers are
 // stateless executors. See the package comment for the fault model; the
 // determinism contract is property-tested against the in-process scheduler
 // in this package's chaos suite.
@@ -192,16 +191,20 @@ type Islands struct {
 	opts search.Options
 	p    Params
 
-	// Authoritative per-replica state: sealed bytes, the decoded form
-	// (replaced wholesale on adoption, never mutated), cumulative
-	// evaluation counts, and generation-budget completion.
-	ckpts   [][]byte
+	// Authoritative per-replica state: the checkpoint (replaced wholesale
+	// on adoption, never mutated), cumulative evaluation counts, and
+	// generation-budget completion.
 	cps     []*search.Checkpoint
 	evals   []int64
 	repDone []bool
 
 	epoch int
 	reps  sched.ReplicaSet
+
+	// algo is the Name() of the replica engine — the Algo its checkpoints
+	// carry, which the mirrors' Restore insists on. A reply checkpoint
+	// naming anything else is never adopted.
+	algo string
 
 	// Mirrors are in-process replica engines restored on demand from the
 	// authoritative checkpoints — the coordinator's window into replica
@@ -228,7 +231,6 @@ type stepResult struct {
 	// attempts completed generations under quarantine (the coordinator
 	// keeps a dropped replica's final valid state, like the in-process
 	// scheduler keeps a dead replica's engine).
-	ckpt []byte
 	cp   *search.Checkpoint
 	done bool
 }
@@ -250,13 +252,17 @@ func (e *Islands) prepare(prob objective.Problem, opts search.Options) error {
 	if e.p.Pool == nil && len(e.p.WorkerArgv) == 0 && len(e.p.Workers) == 0 {
 		return fmt.Errorf("shard: a worker source is required: Params.WorkerArgv (child processes), Params.Workers (TCP daemons) or Params.Pool (shared fleet)")
 	}
+	proto, err := search.New(e.p.Algo)
+	if err != nil {
+		return fmt.Errorf("shard: %w", err)
+	}
+	e.algo = proto.Name()
 	e.opts = opts
 	e.prob = prob
 	e.epoch = 0
 	e.final = false
 	e.closed = false
 	n := e.p.Replicas
-	e.ckpts = make([][]byte, n)
 	e.cps = make([]*search.Checkpoint, n)
 	e.evals = make([]int64, n)
 	e.repDone = make([]bool, n)
@@ -319,14 +325,13 @@ func (e *Islands) adopt(i int, r *stepResult) {
 	if r.cp == nil {
 		return
 	}
-	e.ckpts[i] = r.ckpt
 	e.cps[i] = r.cp
 	e.evals[i] = r.cp.Evals
 	e.repDone[i] = r.done
 	e.mirrorsFresh = false
 }
 
-// Step implements search.Engine: one epoch. Every live replica's sealed
+// Step implements search.Engine: one epoch. Every live replica's
 // checkpoint is shipped to a worker, stepped one generation, and shipped
 // back; the barrier then applies drops, migration and the budget check in
 // replica-index order — the same reduction order as the in-process
@@ -419,7 +424,8 @@ func (e *Islands) dispatch(init bool) []stepResult {
 // in parity with the in-process sched.StepWithRetry:
 //
 //   - transport faults (dial failure, crash/EOF, lease or heartbeat
-//     expiry, corrupt frame, desynced stream) taint the connection: it is
+//     expiry, corrupt frame, desynced stream, a reply checkpoint that is
+//     missing or names another engine) taint the connection: it is
 //     killed, and the SAME request — same checkpoint — is replayed over a
 //     fresh one after the backoff, on whichever pool worker is healthiest
 //     (a dead machine degrades to the survivors, not to a dropped
@@ -444,7 +450,7 @@ func (e *Islands) stepReplica(i int, init bool) stepResult {
 		HeartbeatEvery: e.p.HeartbeatEvery,
 	}
 	if !init {
-		req.Ckpt = e.ckpts[i]
+		req.Ckpt = e.cps[i]
 	}
 	var res stepResult
 	var lastErr error
@@ -480,42 +486,54 @@ func (e *Islands) stepReplica(i int, init bool) stepResult {
 			lastErr = fmt.Errorf("shard: replica %d epoch %d attempt %d: %w", i, req.Epoch, attempt, err)
 			continue
 		}
-		if reply.Err != "" {
-			sess.Served() // an engine fault is the replica's, not the transport's
-			sess.Release()
-			lastErr = fmt.Errorf("shard: replica %d epoch %d attempt %d: %s", i, req.Epoch, attempt, reply.Err)
-			if len(reply.Ckpt) > 0 {
-				if cp, derr := search.DecodeCheckpoint(fmt.Sprintf("shard: replica %d reply", i), reply.Ckpt); derr == nil {
-					res.ckpt, res.cp, res.done = reply.Ckpt, cp, reply.Done
-					req.Ckpt, req.Init = reply.Ckpt, false // retry from the advanced state
-				}
+		// A clean reply must carry the new state; an engine-fault reply
+		// carries it unless the engine could not be built or restored.
+		if reply.Err == "" || reply.Ckpt != nil {
+			if err := e.checkReply(i, reply.Ckpt); err != nil {
+				// The frame CRC passed but the checkpoint inside cannot be
+				// the replica's: do not adopt; the connection is suspect.
+				sess.Fail(err)
+				sess.Release()
+				lastErr = fmt.Errorf("shard: replica %d epoch %d attempt %d: %w", i, req.Epoch, attempt, err)
+				continue
 			}
-			if init {
-				res.err = lastErr
-				return res
-			}
-			continue
+			res.cp, res.done = reply.Ckpt, reply.Done
 		}
-		cp, derr := search.DecodeCheckpoint(fmt.Sprintf("shard: replica %d reply", i), reply.Ckpt)
-		if derr != nil {
-			// The frame CRC passed but the checkpoint inside is corrupt:
-			// do not adopt; the connection is suspect.
-			sess.Fail(derr)
-			sess.Release()
-			lastErr = derr
-			continue
-		}
-		sess.Served()
+		sess.Served() // an engine fault is the replica's, not the transport's
 		sess.Release()
-		res.ckpt, res.cp, res.done, res.err = reply.Ckpt, cp, reply.Done, nil
-		return res
+		if reply.Err == "" {
+			return res
+		}
+		lastErr = fmt.Errorf("shard: replica %d epoch %d attempt %d: %s", i, req.Epoch, attempt, reply.Err)
+		if reply.Ckpt != nil {
+			req.Ckpt, req.Init = reply.Ckpt, false // retry from the advanced state
+		}
+		if init {
+			res.err = lastErr
+			return res
+		}
 	}
+}
+
+// checkReply vets a reply checkpoint before adoption: it must be present
+// and name the replica engine. Anything else passed the frame CRC but is
+// not this replica's state, so it is reported as a *search.CorruptError —
+// a transport fault.
+func (e *Islands) checkReply(i int, cp *search.Checkpoint) error {
+	src := fmt.Sprintf("shard: replica %d reply", i)
+	switch {
+	case cp == nil:
+		return &search.CorruptError{Path: src, Reason: "reply carries no checkpoint"}
+	case cp.Algo != e.algo:
+		return &search.CorruptError{Path: src, Reason: fmt.Sprintf("reply checkpoint is for %q, want %q", cp.Algo, e.algo)}
+	}
+	return nil
 }
 
 // migrate refreshes the replica mirrors and runs one deterministic
 // exchange over the live ones — sched.Migrate, the same code the
-// in-process scheduler runs — then reseals the mutated mirrors as the new
-// authoritative checkpoints.
+// in-process scheduler runs — then snapshots the mutated mirrors as the
+// new authoritative checkpoints.
 func (e *Islands) migrate() error {
 	if err := e.refreshMirrors(); err != nil {
 		return err
@@ -528,13 +546,7 @@ func (e *Islands) migrate() error {
 	}
 	sched.Migrate(e.mirrors, live, e.p.Topology, e.p.Migrants)
 	for _, i := range live {
-		cp := e.mirrors[i].Checkpoint()
-		data, err := search.EncodeCheckpoint(cp)
-		if err != nil {
-			return fmt.Errorf("shard: reseal replica %d after migration: %w", i, err)
-		}
-		e.cps[i] = cp
-		e.ckpts[i] = data
+		e.cps[i] = e.mirrors[i].Checkpoint()
 	}
 	return nil
 }
@@ -672,12 +684,7 @@ func (e *Islands) Restore(prob objective.Problem, opts search.Options, cp *searc
 		if inner == nil {
 			return fmt.Errorf("shard: checkpoint replica %d is empty", i)
 		}
-		data, err := search.EncodeCheckpoint(inner)
-		if err != nil {
-			return fmt.Errorf("shard: reseal checkpoint replica %d: %w", i, err)
-		}
 		e.cps[i] = inner
-		e.ckpts[i] = data
 		e.evals[i] = inner.Evals
 	}
 	if err := e.refreshMirrors(); err != nil {

@@ -38,15 +38,11 @@ const leaseSlack = 2 * time.Second
 // desynced, the worker wedged or gone — and the caller must fail it on
 // its pool session, never reuse it.
 func roundTrip(l *fleet.Link, req *Request, lease, hbTimeout time.Duration) (*Reply, error) {
-	payload, err := encodePayload(req)
-	if err != nil {
-		return nil, err
-	}
 	if lease > 0 {
 		l.SetDeadline(time.Now().Add(lease + leaseSlack))
 		defer l.SetDeadline(time.Time{})
 	}
-	if err := l.WriteFrame(fleet.FrameRequest, payload); err != nil {
+	if err := l.Send(fleet.FrameRequest, req); err != nil {
 		return nil, fmt.Errorf("shard: send request: %w", err)
 	}
 	var leaseC <-chan time.Time
@@ -89,7 +85,7 @@ func roundTrip(l *fleet.Link, req *Request, lease, hbTimeout time.Duration) (*Re
 				continue
 			case fleet.FrameReply:
 				var reply Reply
-				if err := decodePayload("shard: worker stream", f.Payload, &reply); err != nil {
+				if err := l.Decode(f.Payload, &reply); err != nil {
 					return nil, err
 				}
 				if reply.Replica != req.Replica || reply.Epoch != req.Epoch {

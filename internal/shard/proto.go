@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"time"
 
 	"sacga/internal/ga"
@@ -12,18 +9,24 @@ import (
 
 // The wire protocol. One request/reply pair per replica per epoch:
 //
-//	coordinator → worker: Request  (replica config + sealed checkpoint)
-//	worker → coordinator: Heartbeat*  (liveness while the step runs)
-//	worker → coordinator: Reply    (new sealed checkpoint + accounting)
+//	coordinator → worker: Request  (replica config + checkpoint value)
+//	worker → coordinator: Heartbeat*  (empty frames: liveness while the step runs)
+//	worker → coordinator: Reply    (new checkpoint value + accounting)
 //
-// Requests are self-contained — a worker holds NO state between them
-// beyond a cache of built problems. That is the whole fault model: any
-// request can be replayed against any worker process, so the coordinator
-// recovers from a killed, wedged or corrupting worker by respawning one
-// and re-sending the last authoritative checkpoint.
+// Requests are self-contained in what they mean: a worker holds NO replica
+// state between them, only a cache of built problems and the gob stream
+// state of its connection. That is the whole fault model: any request can
+// be replayed against any worker process, so the coordinator recovers from
+// a killed, wedged or corrupting worker by respawning one and re-sending
+// the last authoritative checkpoint.
 //
-// Payloads are self-contained gob streams (a fresh encoder per frame):
-// a stream-stateful encoder would make frames meaningless after a respawn.
+// Payloads are values on one persistent gob stream per direction per
+// connection (fleet.Codec): type descriptors cross once per connection,
+// and a checkpoint is just a field of the message, not a second sealed
+// stream inside it. A respawn or redial starts fresh streams on both
+// sides, so stream state never outlives the connection it describes. The
+// frame CRC is the integrity seal in transit; the sealed
+// search.SaveCheckpoint form is for disk only.
 
 // Request asks a worker to advance one replica by one generation — or, when
 // Init is set, to create its generation-zero state.
@@ -54,10 +57,9 @@ type Request struct {
 	// so one knob tunes both sides of the liveness machinery). Ignored by
 	// workers whose configuration disables heartbeats outright.
 	HeartbeatEvery time.Duration
-	// Ckpt is the replica's sealed checkpoint (search.EncodeCheckpoint
-	// form, CRC footer included) to restore before stepping. Empty when
-	// Init is set.
-	Ckpt []byte
+	// Ckpt is the replica's checkpoint to restore before stepping. Nil
+	// when Init is set.
+	Ckpt *search.Checkpoint
 }
 
 // Reply is a worker's answer to one Request.
@@ -65,13 +67,14 @@ type Reply struct {
 	// Replica and Epoch echo the request.
 	Replica int
 	Epoch   int
-	// Ckpt is the replica's new sealed checkpoint — taken after the step
-	// even when Err is set, because engines complete their generation
-	// before reporting a fault (the quarantine contract): the coordinator
-	// adopts it before retrying, exactly like the in-process scheduler
-	// retrying a quarantining engine. Empty only when the engine could not
-	// be built or restored at all.
-	Ckpt []byte
+	// Ckpt is the replica's new checkpoint — taken after the step even
+	// when Err is set, because engines complete their generation before
+	// reporting a fault (the quarantine contract): the coordinator adopts
+	// it before retrying, exactly like the in-process scheduler retrying a
+	// quarantining engine. Nil only when the engine could not be built or
+	// restored at all, and then Err is set: a clean reply without one is a
+	// transport fault.
+	Ckpt *search.Checkpoint
 	// Evals is the replica's cumulative evaluation count (engine Evals(),
 	// which spans restore boundaries). The coordinator sums these for the
 	// ensemble budget.
@@ -84,14 +87,6 @@ type Reply struct {
 	// error: gob cannot ship arbitrary error types, and the coordinator
 	// only needs the message for its drop report.
 	Err string
-}
-
-// Heartbeat is sent periodically by a worker while a step is in flight, so
-// the coordinator can tell a long step from a wedged process.
-type Heartbeat struct {
-	// Replica and Epoch identify the in-flight step.
-	Replica int
-	Epoch   int
 }
 
 // WireOptions is the gob-safe projection of search.Options: the fields a
@@ -144,28 +139,4 @@ func (w WireOptions) Options() search.Options {
 		Initial:     initial,
 		Extra:       w.Extra,
 	}
-}
-
-// encodePayload gob-encodes v as a self-contained stream.
-func encodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("shard: encode %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodePayload gob-decodes a frame payload into v. The frame CRC has
-// already vouched for the bytes, but the guard keeps the no-gob-panic
-// guarantee absolute (CRC collisions, protocol version skew).
-func decodePayload(src string, payload []byte, v any) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &search.CorruptError{Path: src, Reason: fmt.Sprintf("payload decode panicked: %v", r)}
-		}
-	}()
-	if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); derr != nil {
-		return &search.CorruptError{Path: src, Reason: fmt.Sprintf("payload decode: %v", derr)}
-	}
-	return nil
 }

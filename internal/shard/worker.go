@@ -63,9 +63,10 @@ type StepInfo struct {
 // The worker holds no replica state between requests — every request
 // carries everything needed to replay it, which is what lets the
 // coordinator mask this process being SIGKILLed (or this connection being
-// dropped) at any moment. One stdio process serves one stream; a TCP
-// daemon (cmd/sacgaw) calls this once per accepted connection,
-// concurrently.
+// dropped) at any moment. The only state is the connection's gob stream
+// pair, created here and gone when this call returns. One stdio process
+// serves one stream; a TCP daemon (cmd/sacgaw) calls this once per
+// accepted connection, concurrently.
 func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 	if cfg.Build == nil {
 		return fmt.Errorf("shard: ServeWorker requires a Build hook")
@@ -100,6 +101,7 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 		}
 		return err
 	}
+	codec := fleet.NewCodec()
 	var wmu sync.Mutex // serializes reply and heartbeat frames
 	for {
 		typ, payload, err := fleet.ReadFrame(r, "shard: worker stream")
@@ -113,7 +115,7 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 			return &search.CorruptError{Path: "shard: worker stream", Reason: fmt.Sprintf("unexpected frame type %d", typ)}
 		}
 		var req Request
-		if err := decodePayload("shard: worker stream", payload, &req); err != nil {
+		if err := codec.Decode("shard: worker stream", payload, &req); err != nil {
 			return err
 		}
 		info := StepInfo{Replica: req.Replica, Epoch: req.Epoch, Attempt: req.Attempt, Init: req.Init}
@@ -124,10 +126,10 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 		if req.HeartbeatEvery > 0 && period > 0 {
 			period = req.HeartbeatEvery // coordinator tuning; a disabled worker stays disabled
 		}
-		stop := startHeartbeats(w, &wmu, period, req.Replica, req.Epoch)
+		stop := startHeartbeats(w, &wmu, period)
 		reply := handleRequest(&req, problems, cfg.Build)
 		stop()
-		frame, err := sealReply(reply)
+		frame, err := sealReply(codec, reply)
 		if err != nil {
 			return err
 		}
@@ -146,10 +148,11 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 	}
 }
 
-// sealReply builds the complete reply frame bytes (so TransformReply can
-// corrupt the real wire form, CRC included).
-func sealReply(reply *Reply) ([]byte, error) {
-	payload, err := encodePayload(reply)
+// sealReply encodes reply on the connection's outgoing gob stream and
+// builds the complete frame bytes (so TransformReply can corrupt the real
+// wire form, CRC included).
+func sealReply(codec *fleet.Codec, reply *Reply) ([]byte, error) {
+	payload, err := codec.Encode(reply)
 	if err != nil {
 		return nil, err
 	}
@@ -168,8 +171,10 @@ func (w *writerBuffer) Write(p []byte) (int, error) {
 }
 
 // startHeartbeats emits heartbeat frames every period until the returned
-// stop function is called. A non-positive period disables them.
-func startHeartbeats(w io.Writer, wmu *sync.Mutex, period time.Duration, replica, epoch int) (stop func()) {
+// stop function is called. A non-positive period disables them. The
+// frames are empty: this goroutine must not touch the connection's gob
+// stream, which belongs to the reply path.
+func startHeartbeats(w io.Writer, wmu *sync.Mutex, period time.Duration) (stop func()) {
 	if period <= 0 {
 		return func() {}
 	}
@@ -180,17 +185,13 @@ func startHeartbeats(w io.Writer, wmu *sync.Mutex, period time.Duration, replica
 		defer wg.Done()
 		t := time.NewTicker(period)
 		defer t.Stop()
-		payload, err := encodePayload(&Heartbeat{Replica: replica, Epoch: epoch})
-		if err != nil {
-			return
-		}
 		for {
 			select {
 			case <-done:
 				return
 			case <-t.C:
 				wmu.Lock()
-				err := fleet.WriteFrame(w, fleet.FrameHeartbeat, payload)
+				err := fleet.WriteFrame(w, fleet.FrameHeartbeat, nil)
 				wmu.Unlock()
 				if err != nil {
 					return // pipe gone; the main loop will notice too
@@ -238,12 +239,11 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 			return reply
 		}
 	} else {
-		cp, err := search.DecodeCheckpoint(fmt.Sprintf("shard: replica %d request", req.Replica), req.Ckpt)
-		if err != nil {
-			reply.Err = err.Error()
+		if req.Ckpt == nil {
+			reply.Err = fmt.Sprintf("replica %d request carries no checkpoint", req.Replica)
 			return reply
 		}
-		if err := eng.Restore(prob, opts, cp); err != nil {
+		if err := eng.Restore(prob, opts, req.Ckpt); err != nil {
 			reply.Err = err.Error()
 			return reply
 		}
@@ -256,12 +256,7 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 			stepErr = search.GuardedStep(eng, prob, 0)
 		}
 	}
-	ckpt, err := search.EncodeCheckpoint(eng.Checkpoint())
-	if err != nil {
-		reply.Err = err.Error()
-		return reply
-	}
-	reply.Ckpt = ckpt
+	reply.Ckpt = eng.Checkpoint()
 	reply.Evals = eng.Evals()
 	reply.Gen = eng.Generation()
 	reply.Done = eng.Done()
